@@ -106,7 +106,6 @@ def kl_monte_carlo(
     horizon: int,
     trials: int,
     rng: Prng,
-    batch: int = 4096,
 ) -> KlReport:
     """Monte-Carlo estimate of KL between the trajectory laws of the pair.
 
@@ -114,8 +113,8 @@ def kl_monte_carlo(
     log-likelihood ratios.  Only the first coordinate's transition density
     differs between the siblings, so the ratio reduces to the residual form
     ((w - m u)^2 - w^2) / (2 sigma_w^2) summed over steps.  Trial i draws
-    from stream index rng.stream + i; the reduction over trials uses
-    pairwise summation so chunked and serial runs agree.
+    from stream index rng.stream + i, so the estimate is deterministic given
+    the rng's (seed, stream).
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")

@@ -2,9 +2,11 @@
 and the co-stabilizability bisection sweep, with CSV emission.
 
 The LQR experiment regresses the unknown first input coefficient from
-exploration data, synthesizes a certainty-equivalent gain per probe length,
-and records the smallest trajectory length at which the stabilization rate
-reaches the success threshold.  Regression data uses the exact transition
+exploration data and records the smallest trajectory length at which the
+certainty-equivalent gain stabilizes the truth in enough trials.  A gain
+stabilizes exactly when the estimate lies in an interval located once per
+dimension, so the search counts interval membership and runs synthesis only
+to check the answer.  Regression data uses the exact transition
 residuals b1 u + w recorded at generation time: re-deriving them from stored
 states is numerically impossible here, because open-loop states grow like
 r^t and swallow the O(1) residual information long before the divergence
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -59,7 +61,11 @@ class CeLqrRow:
     min_n: Optional[int]
     rate_at_min_n: float
     synthesis_failures: int
-    status: str  # "ok" | "saturated" | "refined-direct"
+    # "ok": min_N found and the direct check agrees with interval membership;
+    # "saturated": no N up to max_probe_length reaches the threshold;
+    # "interval-mismatch": direct synthesis contradicted interval membership
+    # at a checked N, so min_N rests on a model the row disproved.
+    status: str
     wall_time_s: float
 
 
@@ -147,128 +153,107 @@ def _grid_points(start: int, ratio: float, cap: int) -> list[int]:
     return points
 
 
+# Estimates held at once per stream chunk (a trials x columns float64 array),
+# so long segments near max_probe_length stay a few MiB.
+_CHUNK_ESTIMATES = 1 << 18
+
+
+def _estimate_chunks(
+    config: CeLqrConfig, n: int, stops: Sequence[int]
+) -> Iterator[tuple[int, np.ndarray, bool]]:
+    """Yield (N0, estimates, at_stop) for the least-squares estimates
+    b1_hat(N) = sum(u res) / sum(u u) of every trial (one row each) at
+    N = N0 + 1 .. N0 + width, chunk by chunk; chunks end at every stop, where
+    at_stop is True.
+
+    Trial i owns the persistent stream Prng(seed, i); each step consumes one
+    input draw and n noise draws, matching simulate() on an i.i.d. Gaussian
+    policy.  The prefix sums continue from the previous chunk's last column,
+    so every estimate is bit-identical to a cumsum over the whole path.
+    """
+    generators = [Prng(config.seed, i).generator for i in range(config.trials)]
+    sigma_u = np.sqrt(config.sigma_u2)
+    sigma_w = np.sqrt(config.sigma_w2)
+    chunk = max(1, _CHUNK_ESTIMATES // config.trials)
+    sums_uu = np.zeros(config.trials)  # each trial's sums up to N0
+    sums_ur = np.zeros(config.trials)
+    consumed = 0
+    for stop in stops:
+        while consumed < stop:
+            width = min(chunk, stop - consumed)
+            b_hats = np.empty((config.trials, width))
+            for i, gen in enumerate(generators):
+                block = gen.standard_normal((width, 1 + n))
+                u = sigma_u * block[:, 0]
+                res = config.true_b1 * u + sigma_w * block[:, 1]
+                cum_uu = np.cumsum(np.concatenate(([sums_uu[i]], u * u)))[1:]
+                cum_ur = np.cumsum(np.concatenate(([sums_ur[i]], u * res)))[1:]
+                sums_uu[i] = cum_uu[-1]
+                sums_ur[i] = cum_ur[-1]
+                np.divide(cum_ur, cum_uu, out=b_hats[i])
+            yield consumed, b_hats, consumed + width == stop
+            consumed += width
+
+
 def _run_ce_lqr_single(config: CeLqrConfig, n: int) -> CeLqrRow:
+    """Minimum-sample search in one streaming pass.
+
+    Each decision depends on the estimate only, and the stable estimates
+    form the interval located once by _stability_interval, so the rate at
+    every N is the share of trials whose estimate lies inside it.  Streams
+    advance from one grid point to the next; at the first grid point whose
+    rate reaches the threshold, min_N is the smallest N since the previous
+    grid point that does.  Direct CE-LQR synthesis then decides every trial
+    at min_N and min_N - 1 (at the last grid point when the search
+    saturates); any disagreement with interval membership marks the row
+    "interval-mismatch".  The reported rate is the direct one.
+    """
     t0 = time.perf_counter()
     params = HardFamilyParams(n=n, r=config.r, v=config.v, b1=config.true_b1)
     decide = _CeDecision(params, config.true_b1)
-    interval = _stability_interval(decide, scale=1e-6)
+    lower, upper = _stability_interval(decide, scale=1e-6)
     decide.failures = 0  # count trial decisions only, not boundary probes
 
-    sigma_u = np.sqrt(config.sigma_u2)
-    sigma_w = np.sqrt(config.sigma_w2)
     trials = config.trials
     threshold = config.success_threshold
-
-    # One persistent stream per trial; each step consumes one input draw and
-    # n noise draws, matching simulate() on an i.i.d. Gaussian policy.
-    generators = [Prng(config.seed, i).generator for i in range(trials)]
-    cum_uu = np.zeros(trials)
-    cum_ur = np.zeros(trials)
-    consumed = 0
-
-    def extend(target: int) -> None:
-        nonlocal consumed
-        if target <= consumed:
-            return
-        for i in range(trials):
-            block = generators[i].standard_normal((target - consumed, 1 + n))
-            u = sigma_u * block[:, 0]
-            res = config.true_b1 * u + sigma_w * block[:, 1]
-            cum_uu[i] += u @ u
-            cum_ur[i] += u @ res
-        consumed = target
-
     grid = _grid_points(n + 1, config.grid_ratio, config.max_probe_length)
-    mismatches = 0
-    last_fail = 0
-    first_pass = None
-    for point in grid:
-        extend(point)
-        b_hats = cum_ur / cum_uu
-        decisions = np.fromiter(
-            (decide(float(b)) for b in b_hats), dtype=bool, count=trials
-        )
-        predicted = (b_hats > interval[0]) & (b_hats < interval[1])
-        mismatches += int(np.sum(decisions != predicted))
-        if decisions.mean() >= threshold:
-            first_pass = point
+
+    min_n = None
+    hit = None  # (N, estimates at N and N - 1): first pass since the last failing point
+    previous = None  # estimates at the last N streamed
+    for start, b_hats, at_point in _estimate_chunks(config, n, grid):
+        members = np.count_nonzero((b_hats > lower) & (b_hats < upper), axis=0)
+        passing = members / trials >= threshold
+        if hit is None and passing.any():
+            k = int(np.argmax(passing))
+            before = b_hats[:, k - 1].copy() if k else previous
+            hit = (start + 1 + k, b_hats[:, k].copy(), before)
+        previous = b_hats[:, -1].copy()
+        if not at_point:
+            continue
+        if passing[-1]:
+            min_n, at_min, before = hit
+            checked = [at_min] if before is None else [at_min, before]
             break
-        last_fail = point
-
-    if first_pass is None:
-        return CeLqrRow(
-            n=n,
-            min_n=None,
-            rate_at_min_n=float(decisions.mean()),
-            synthesis_failures=decide.failures,
-            status="saturated",
-            wall_time_s=time.perf_counter() - t0,
-        )
-
-    # Linear refinement over (last_fail, first_pass]: estimates for every
-    # prefix length come from per-trial cumulative sums over regenerated
-    # streams, and decisions reduce to interval membership (validated against
-    # the direct synthesis decisions gathered on the grid).
-    lo_n = last_fail + 1
-    width = first_pass - lo_n + 1
-    if mismatches == 0 and width > 1:
-        success_counts = np.zeros(width)
-        for i in range(trials):
-            gen = Prng(config.seed, i).generator
-            block = gen.standard_normal((first_pass, 1 + n))
-            u = sigma_u * block[:, 0]
-            res = config.true_b1 * u + sigma_w * block[:, 1]
-            b_path = np.cumsum(u * res) / np.cumsum(u * u)
-            segment = b_path[lo_n - 1 : first_pass]
-            success_counts += (segment > interval[0]) & (segment < interval[1])
-        rates = success_counts / trials
-        passing = rates >= threshold
-        if passing.any():
-            hit = int(np.argmax(passing))
-            min_n = lo_n + hit
-            rate = float(rates[hit])
-        else:
-            # summation-order noise at the bracket edge: keep the grid decision
-            min_n = first_pass
-            rate = float(decisions.mean())
-        status = "ok"
-    elif width > 1:
-        # interval model contradicted somewhere: fall back to direct rate
-        # probes on a shrinking bracket (treats the rate as monotone)
-        lo_b, hi_b = last_fail, first_pass
-        cache: dict[int, float] = {}
-
-        def rate_at(point: int) -> float:
-            if point not in cache:
-                count = 0
-                for i in range(trials):
-                    gen = Prng(config.seed, i).generator
-                    block = gen.standard_normal((point, 1 + n))
-                    u = sigma_u * block[:, 0]
-                    res = config.true_b1 * u + sigma_w * block[:, 1]
-                    b_hat = float((u @ res) / (u @ u))
-                    count += decide(b_hat)
-                cache[point] = count / trials
-            return cache[point]
-
-        while hi_b - lo_b > 1:
-            mid = (lo_b + hi_b) // 2
-            if rate_at(mid) >= threshold:
-                hi_b = mid
-            else:
-                lo_b = mid
-        min_n = hi_b
-        rate = rate_at(hi_b)
-        status = "refined-direct"
+        hit = None
     else:
-        min_n = first_pass
-        rate = float(decisions.mean())
-        status = "ok"
+        checked = [previous]
 
+    decisions = [
+        np.fromiter((decide(float(b)) for b in estimates), dtype=bool, count=trials)
+        for estimates in checked
+    ]
+    if not all(
+        np.array_equal(direct, (estimates > lower) & (estimates < upper))
+        for direct, estimates in zip(decisions, checked)
+    ):
+        status = "interval-mismatch"
+    else:
+        status = "saturated" if min_n is None else "ok"
     return CeLqrRow(
         n=n,
         min_n=min_n,
-        rate_at_min_n=rate,
+        rate_at_min_n=float(decisions[0].mean()),
         synthesis_failures=decide.failures,
         status=status,
         wall_time_s=time.perf_counter() - t0,

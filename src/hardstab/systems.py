@@ -133,20 +133,19 @@ def controllability_matrix(sys: LtiSystem) -> np.ndarray:
 @dataclass(frozen=True)
 class InputPolicy:
     """Exploration input law: i.i.d. Gaussian, zero, impulse, or a custom
-    history map, plus an optional terminal gain map applied after exploration."""
+    history map."""
 
     kind: str
     sigma_u2: float = 0.0
     impulse_time: int = 0
     amplitude: float = 1.0
     history_map: Optional[Callable] = None
-    terminal_map: Optional[Callable] = None
 
     @staticmethod
-    def iid_gaussian(sigma_u2: float, terminal_map=None) -> "InputPolicy":
+    def iid_gaussian(sigma_u2: float) -> "InputPolicy":
         if sigma_u2 < 0:
             raise ValueError("sigma_u2 must be nonnegative")
-        return InputPolicy(kind="iid-gaussian", sigma_u2=sigma_u2, terminal_map=terminal_map)
+        return InputPolicy(kind="iid-gaussian", sigma_u2=sigma_u2)
 
     @staticmethod
     def zero() -> "InputPolicy":
@@ -157,9 +156,9 @@ class InputPolicy:
         return InputPolicy(kind="impulse", impulse_time=time, amplitude=amplitude)
 
     @staticmethod
-    def custom(history_map: Callable, terminal_map=None) -> "InputPolicy":
+    def custom(history_map: Callable) -> "InputPolicy":
         """history_map(t, inputs_so_far, states_so_far, generator) -> u_t."""
-        return InputPolicy(kind="custom", history_map=history_map, terminal_map=terminal_map)
+        return InputPolicy(kind="custom", history_map=history_map)
 
 
 @dataclass(frozen=True)

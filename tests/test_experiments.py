@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hardstab import experiments
 from hardstab.experiments import (
     CeLqrConfig,
     LmiSweepRow,
@@ -9,8 +10,42 @@ from hardstab.experiments import (
     run_lmi_sweep,
     write_csv_lines,
 )
-from hardstab.numerics import Prng
-from hardstab.systems import HardFamilyParams, InputPolicy, make_hard_pair, simulate
+from hardstab.numerics import DareError, Prng
+from hardstab.synthesis import ce_lqr_gain, is_stabilizing
+from hardstab.systems import (
+    HardFamilyParams,
+    InputPolicy,
+    hard_system,
+    make_hard_pair,
+    simulate,
+)
+
+
+def _estimates(config, n, length):
+    """Every trial's estimate from its first ``length`` samples, summed in
+    path order as the search sums them."""
+    estimates = []
+    for trial in range(config.trials):
+        block = Prng(config.seed, trial).generator.standard_normal((length, 1 + n))
+        u = np.sqrt(config.sigma_u2) * block[:, 0]
+        res = config.true_b1 * u + np.sqrt(config.sigma_w2) * block[:, 1]
+        estimates.append(float(np.cumsum(u * res)[-1] / np.cumsum(u * u)[-1]))
+    return estimates
+
+
+def _direct_rate(config, n, length):
+    """Share of trials whose estimate from the first ``length`` samples gives
+    a stabilizing CE-LQR gain, by synthesis on every trial."""
+    params = HardFamilyParams(n=n, r=config.r, v=config.v, b1=config.true_b1)
+    truth = hard_system(params)
+    stable = 0
+    for b1_hat in _estimates(config, n, length):
+        try:
+            gain = ce_lqr_gain(params, b1_hat)
+        except (DareError, np.linalg.LinAlgError):
+            continue
+        stable += is_stabilizing(truth, gain).stable
+    return stable / config.trials
 
 
 class TestCeLqrConfig:
@@ -87,6 +122,59 @@ class TestRunCeLqr:
         row = run_ce_lqr(config).rows[0]
         assert row.min_n == 1
         assert row.rate_at_min_n == 1.0
+
+    def test_default_seed_golden(self):
+        result = run_ce_lqr(CeLqrConfig(n_values=(2, 3, 4, 5, 6), seed=20240814))
+        assert [row.min_n for row in result.rows] == [1, 2, 6, 52, 381]
+        assert [row.rate_at_min_n for row in result.rows] == [0.95, 0.945, 0.905, 0.9, 0.9]
+        assert all(row.status == "ok" for row in result.rows)
+
+    def test_chunked_streams_match_whole_segments(self, monkeypatch):
+        # prefix sums carried across chunk boundaries reproduce the search
+        # exactly, however the streams are cut
+        config = CeLqrConfig(n_values=(4, 5), trials=60, seed=7)
+        whole = run_ce_lqr(config).csv_lines(include_wall_time=False)
+        monkeypatch.setattr(experiments, "_CHUNK_ESTIMATES", 3 * config.trials)
+        assert run_ce_lqr(config).csv_lines(include_wall_time=False) == whole
+
+    def test_direct_check_decides_min_n_and_the_length_before(self, monkeypatch):
+        # after the interval search, synthesis runs on exactly the trials'
+        # estimates at min_N and then at min_N - 1
+        decided = []
+
+        def recording_gain(params, b1_hat):
+            decided.append(b1_hat)
+            return ce_lqr_gain(params, b1_hat)
+
+        monkeypatch.setattr(experiments, "ce_lqr_gain", recording_gain)
+        config = CeLqrConfig(n_values=(4,), trials=50, seed=20240814)
+        row = run_ce_lqr(config).rows[0]
+        assert row.min_n > 1
+        expected = _estimates(config, 4, row.min_n) + _estimates(config, 4, row.min_n - 1)
+        assert decided[-len(expected) :] == expected
+
+    def test_saturated_search_reports_the_direct_rate_at_the_cap(self):
+        config = CeLqrConfig(n_values=(6,), trials=50, seed=20240814, max_probe_length=40)
+        row = run_ce_lqr(config).rows[0]
+        assert row.status == "saturated"
+        assert row.min_n is None
+        assert row.rate_at_min_n == _direct_rate(config, 6, 40) < 0.9
+
+    def test_narrowed_interval_is_reported_as_mismatch(self, monkeypatch):
+        # a wrong interval model must show up in the row, with the rate that
+        # direct synthesis measures at the N the model chose
+        real = experiments._stability_interval
+
+        def narrowed(decide, scale):
+            lower, upper = real(decide, scale)
+            return (0.5 * lower, 0.5 * upper)
+
+        monkeypatch.setattr(experiments, "_stability_interval", narrowed)
+        config = CeLqrConfig(n_values=(4,), seed=20240814)
+        row = run_ce_lqr(config).rows[0]
+        assert row.status == "interval-mismatch"
+        assert row.min_n is not None
+        assert row.rate_at_min_n == _direct_rate(config, 4, row.min_n)
 
     def test_wider_chain_coupling_eases_the_search(self):
         # larger v widens the stabilizable-estimate interval, so fewer
