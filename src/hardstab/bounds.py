@@ -90,16 +90,6 @@ def kl_upper_bound(horizon: int, m: float, sigma_u2: float, sigma_w2: float) -> 
     return horizon * m * m * sigma_u2 / (2.0 * sigma_w2)
 
 
-def _policy_sigma_u2(policy: InputPolicy, horizon: int) -> float:
-    if policy.kind == "iid-gaussian":
-        return policy.sigma_u2
-    if policy.kind == "zero":
-        return 0.0
-    if policy.kind == "impulse":
-        return policy.amplitude**2 / horizon
-    return float("nan")
-
-
 def kl_monte_carlo(
     pair: HardPair,
     policy: InputPolicy,
@@ -126,40 +116,21 @@ def kl_monte_carlo(
 
     m = pair.m
     sigma_w = math.sqrt(sigma_w2)
-    n = pair.s1.n
     log_ratios = np.empty(trials)
-
-    if policy.kind in ("iid-gaussian", "zero", "impulse"):
-        # State feedback never enters the ratio, so states need not be formed;
-        # the (1 + n) draws per step keep streams aligned with simulate().
-        u_draws = 1 if policy.kind == "iid-gaussian" else 0
-        sigma_u = math.sqrt(policy.sigma_u2) if u_draws else 0.0
-        for i in range(trials):
-            gen = rng.spawn(rng.stream + i).generator
-            block = gen.standard_normal((horizon, u_draws + n))
-            if policy.kind == "iid-gaussian":
-                u = sigma_u * block[:, 0]
-            elif policy.kind == "impulse":
-                u = np.zeros(horizon)
-                if 0 <= policy.impulse_time < horizon:
-                    u[policy.impulse_time] = policy.amplitude
-            else:
-                u = np.zeros(horizon)
-            w1 = sigma_w * block[:, u_draws]
-            terms = ((w1 - m * u) ** 2 - w1**2) / (2.0 * sigma_w2)
-            log_ratios[i] = terms.sum()
-    else:
-        for i in range(trials):
-            stream = rng.spawn(rng.stream + i)
+    for i in range(trials):
+        stream = rng.spawn(rng.stream + i)
+        if policy.kind == "custom":
             traj = simulate(pair.s1, policy, horizon, stream)
-            w1 = traj.first_coord_residuals  # b1 = 0 under s1
-            u = traj.inputs
-            terms = ((w1 - m * u) ** 2 - w1**2) / (2.0 * sigma_w2)
-            log_ratios[i] = terms.sum()
+            u, w1 = traj.inputs, traj.first_coord_residuals  # b1 = 0 under s1
+        else:
+            # state feedback never enters the ratio, so states need not be formed
+            u, draws = policy.open_loop(stream.generator, horizon, pair.s1.n)
+            w1 = sigma_w * draws[:, 0]
+        log_ratios[i] = (((w1 - m * u) ** 2 - w1**2) / (2.0 * sigma_w2)).sum()
 
     estimate = float(np.mean(log_ratios))
     std_error = float(np.std(log_ratios, ddof=1) / math.sqrt(trials))
-    sigma_u2 = _policy_sigma_u2(policy, horizon)
+    sigma_u2 = policy.input_power(horizon)
     return KlReport(
         analytic_bound=kl_upper_bound(horizon, m, sigma_u2, sigma_w2)
         if not math.isnan(sigma_u2)

@@ -24,7 +24,7 @@ import numpy as np
 from .lmi import bisect_largest_m
 from .numerics import DareError, Prng
 from .synthesis import ce_lqr_gain, is_stabilizing
-from .systems import HardFamilyParams, LtiSystem, hard_matrices
+from .systems import HardFamilyParams, InputPolicy, LtiSystem, hard_matrices
 
 CSV_FLOAT = "%.17g"
 
@@ -53,6 +53,12 @@ class CeLqrConfig:
             raise ValueError("need at least one trial")
         if self.grid_ratio <= 1:
             raise ValueError("grid ratio must exceed 1")
+        # sigma_u2 = 0 would make every estimate 0/0, and a negative variance
+        # has no square root; either row would stream to max_probe_length
+        if not self.sigma_u2 > 0:
+            raise ValueError("sigma_u2 must be positive")
+        if not self.sigma_w2 >= 0:
+            raise ValueError("sigma_w2 must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -111,38 +117,34 @@ class _CeDecision:
         return is_stabilizing(self.true_system, gain).stable
 
 
+def _stable_edge(decide: _CeDecision, step: float) -> float:
+    """Farthest stable estimate found from the stable truth at 0 in the
+    direction of ``step``: double the step while it stays stable (up to
+    1e6), then bisect between the last stable and the first unstable
+    estimate until their midpoint rounds to one of them (at most 60 times).
+    No estimate is decided twice."""
+    stable, unstable = 0.0, step
+    while decide(unstable):
+        stable, unstable = unstable, 2 * unstable
+        if abs(unstable) > 1e6:
+            break
+    for _ in range(60):
+        mid = 0.5 * (stable + unstable)
+        if mid == stable or mid == unstable:
+            break
+        if decide(mid):
+            stable = mid
+        else:
+            unstable = mid
+    return stable
+
+
 def _stability_interval(decide: _CeDecision, scale: float) -> tuple[float, float]:
     """Connected component (lo, hi) of the stable estimate set around the
     truth, located by doubling expansion and bisection."""
     if not decide(0.0):
         return (0.0, 0.0)
-    hi = scale
-    while decide(hi):
-        hi *= 2
-        if hi > 1e6:
-            break
-    lo_edge, hi_edge = 0.0, hi
-    for _ in range(60):
-        mid = 0.5 * (lo_edge + hi_edge)
-        if decide(mid):
-            lo_edge = mid
-        else:
-            hi_edge = mid
-    upper = lo_edge
-    lo = -scale
-    while decide(lo):
-        lo *= 2
-        if lo < -1e6:
-            break
-    lo_edge, hi_edge = lo, 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo_edge + hi_edge)
-        if decide(mid):
-            hi_edge = mid
-        else:
-            lo_edge = mid
-    lower = hi_edge
-    return (lower, upper)
+    return (_stable_edge(decide, -scale), _stable_edge(decide, scale))
 
 
 def _grid_points(start: int, ratio: float, cap: int) -> list[int]:
@@ -166,13 +168,13 @@ def _estimate_chunks(
     N = N0 + 1 .. N0 + width, chunk by chunk; chunks end at every stop, where
     at_stop is True.
 
-    Trial i owns the persistent stream Prng(seed, i); each step consumes one
-    input draw and n noise draws, matching simulate() on an i.i.d. Gaussian
-    policy.  The prefix sums continue from the previous chunk's last column,
-    so every estimate is bit-identical to a cumsum over the whole path.
+    Trial i owns the persistent stream Prng(seed, i), read by the i.i.d.
+    Gaussian policy's InputPolicy.open_loop, as simulate() reads it.  The
+    prefix sums continue from the previous chunk's last column, so every
+    estimate is bit-identical to a cumsum over the whole path.
     """
     generators = [Prng(config.seed, i).generator for i in range(config.trials)]
-    sigma_u = np.sqrt(config.sigma_u2)
+    policy = InputPolicy.iid_gaussian(config.sigma_u2)
     sigma_w = np.sqrt(config.sigma_w2)
     chunk = max(1, _CHUNK_ESTIMATES // config.trials)
     sums_uu = np.zeros(config.trials)  # each trial's sums up to N0
@@ -183,9 +185,8 @@ def _estimate_chunks(
             width = min(chunk, stop - consumed)
             b_hats = np.empty((config.trials, width))
             for i, gen in enumerate(generators):
-                block = gen.standard_normal((width, 1 + n))
-                u = sigma_u * block[:, 0]
-                res = config.true_b1 * u + sigma_w * block[:, 1]
+                u, noise = policy.open_loop(gen, width, n)
+                res = config.true_b1 * u + sigma_w * noise[:, 0]
                 cum_uu = np.cumsum(np.concatenate(([sums_uu[i]], u * u)))[1:]
                 cum_ur = np.cumsum(np.concatenate(([sums_ur[i]], u * res)))[1:]
                 sums_uu[i] = cum_uu[-1]

@@ -19,7 +19,7 @@ substitution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -178,80 +178,64 @@ class _BarrierState:
     """
 
     def __init__(self, problem: CostabLmiProblem, transform: np.ndarray):
-        self.problem = problem
-        self.n = problem.n
+        self.n = n = problem.n
         self.transform = transform
         t_inv = np.linalg.inv(transform)
-        self.a_s = t_inv @ problem.a @ transform
-        self.b1_s = t_inv @ problem.b1
-        self.b2_s = t_inv @ problem.b2
-        n = self.n
-        self.q_pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        self.dim = len(self.q_pairs) + n
+        # the same problem in solver coordinates
+        self.scaled = replace(
+            problem,
+            a=t_inv @ problem.a @ transform,
+            b1=t_inv @ problem.b1,
+            b2=t_inv @ problem.b2,
+        )
+        # svec(Q) is the upper triangle of Q, row by row
+        self.q_rows, self.q_cols = np.triu_indices(n)
+        self.q_dim = len(self.q_rows)
+        self.dim = self.q_dim + n
         self._build_basis()
         # trace(Q) = n selector
         self.trace_vector = np.zeros(self.dim)
-        for a, (i, j) in enumerate(self.q_pairs):
-            if i == j:
-                self.trace_vector[a] = 1.0
+        self.trace_vector[: self.q_dim] = self.q_rows == self.q_cols
 
     def _build_basis(self):
-        n = self.n
-        d = self.dim
+        n, k, d = self.n, self.q_dim, self.dim
+        # e[a] is the symmetric unit matrix of svec coordinate a
+        e = np.zeros((k, n, n))
+        e[np.arange(k), self.q_rows, self.q_cols] = 1.0
+        e[np.arange(k), self.q_cols, self.q_rows] = 1.0
+        ae = self.scaled.a @ e
         tensors = []
-        for b_s in (self.b1_s, self.b2_s):
+        for b in (self.scaled.b1, self.scaled.b2):
             g = np.zeros((d, 2 * n, 2 * n))
-            for a, (i, j) in enumerate(self.q_pairs):
-                e = np.zeros((n, n))
-                e[i, j] = 1.0
-                e[j, i] = 1.0
-                ae = self.a_s @ e
-                g[a, :n, :n] = e
-                g[a, n:, n:] = e
-                g[a, n:, :n] = ae
-                g[a, :n, n:] = ae.T
-            for k in range(n):
-                a = len(self.q_pairs) + k
-                be = np.zeros((n, n))
-                be[:, k] = b_s.ravel()
-                g[a, n:, :n] = be
-                g[a, :n, n:] = be.T
+            g[:k, :n, :n] = e
+            g[:k, n:, n:] = e
+            g[:k, n:, :n] = ae
+            g[:k, :n, n:] = ae.transpose(0, 2, 1)
+            for j in range(n):
+                g[k + j, n:, j] = b.ravel()
+                g[k + j, j, n:] = b.ravel()
             tensors.append(g)
         gq = np.zeros((d, n, n))
-        for a, (i, j) in enumerate(self.q_pairs):
-            gq[a, i, j] = 1.0
-            gq[a, j, i] = 1.0
+        gq[:k] = e
         tensors.append(gq)
         self.basis = tensors
         self.basis_flat = [g.reshape(self.dim, -1) for g in tensors]
 
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = self.n
-        q = np.zeros((n, n))
-        for a, (i, j) in enumerate(self.q_pairs):
-            q[i, j] = x[a]
-            q[j, i] = x[a]
-        y = x[len(self.q_pairs):].reshape(1, n)
+        q = np.zeros((self.n, self.n))
+        q[self.q_rows, self.q_cols] = x[: self.q_dim]
+        q[self.q_cols, self.q_rows] = x[: self.q_dim]
+        y = x[self.q_dim :].reshape(1, self.n)
         return q, y
 
     def pack(self, q: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.zeros(self.dim)
-        for a, (i, j) in enumerate(self.q_pairs):
-            x[a] = q[i, j]
-        x[len(self.q_pairs):] = np.asarray(y).ravel()
-        return x
+        return np.concatenate([q[self.q_rows, self.q_cols], np.asarray(y).ravel()])
 
-    def block_matrices(self, x: np.ndarray) -> list[np.ndarray]:
-        q, y = self.unpack(x)
-        out = []
-        for b_s in (self.b1_s, self.b2_s):
-            off = self.a_s @ q + b_s @ y
-            out.append(np.block([[q, off.T], [off, q]]))
-        out.append(q)
-        return out
+    def blocks(self, x: np.ndarray) -> list[np.ndarray]:
+        return self.scaled.blocks(*self.unpack(x))
 
     def margin(self, x: np.ndarray) -> float:
-        return min(float(np.linalg.eigvalsh(m)[0]) for m in self.block_matrices(x))
+        return min(float(np.linalg.eigvalsh(m)[0]) for m in self.blocks(x))
 
     def to_original(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         q, y = self.unpack(x)
@@ -261,7 +245,7 @@ class _BarrierState:
     def _barrier_value(self, x: np.ndarray, level: float) -> Optional[float]:
         """-(sum of log dets) of the shifted blocks, or None outside the cone."""
         value = 0.0
-        for m in self.block_matrices(x):
+        for m in self.blocks(x):
             shifted = m - level * np.eye(m.shape[0])
             try:
                 chol = np.linalg.cholesky(shifted)
@@ -283,7 +267,7 @@ class _BarrierState:
             grad = np.zeros(self.dim)
             hess = np.zeros((self.dim, self.dim))
             for m, basis, basis_flat in zip(
-                self.block_matrices(x), self.basis, self.basis_flat
+                self.blocks(x), self.basis, self.basis_flat
             ):
                 shifted = m - level * np.eye(m.shape[0])
                 inv = np.linalg.inv(shifted)

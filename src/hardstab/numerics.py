@@ -50,7 +50,6 @@ class Prng:
 
     seed: int
     stream: int = 0
-    algorithm: str = field(default="philox4x64", init=False, repr=False)
     _generator: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -9,6 +9,7 @@ w_t i.i.d. N(0, sigma_w^2 I), and x_0 = 0.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -160,6 +161,43 @@ class InputPolicy:
         """history_map(t, inputs_so_far, states_so_far, generator) -> u_t."""
         return InputPolicy(kind="custom", history_map=history_map)
 
+    def open_loop(
+        self, generator: np.random.Generator, horizon: int, n: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(inputs, standard-normal noise draws) of ``horizon`` open-loop
+        steps of an n-dimensional system, shaped (horizon,) and (horizon, n).
+
+        The one stream layout: per step, one input draw (i.i.d. Gaussian
+        policy only), then the n noise coordinates, read as one
+        (horizon, draws + n) block, so a longer rollout's prefix matches a
+        shorter one bitwise.  A custom policy has no open-loop form: it
+        draws step by step inside simulate().
+        """
+        if self.kind == "custom":
+            raise ValueError("a custom policy has no open-loop form; use simulate()")
+        if self.kind not in ("iid-gaussian", "zero", "impulse"):
+            raise ValueError(f"unknown policy kind {self.kind!r}")
+        draws = 1 if self.kind == "iid-gaussian" else 0
+        block = generator.standard_normal((horizon, draws + n))
+        if draws:
+            inputs = math.sqrt(self.sigma_u2) * block[:, 0]
+        else:
+            inputs = np.zeros(horizon)
+            if self.kind == "impulse" and 0 <= self.impulse_time < horizon:
+                inputs[self.impulse_time] = self.amplitude
+        return inputs, block[:, draws:]
+
+    def input_power(self, horizon: int) -> float:
+        """Mean input power per step over ``horizon`` steps (the sigma_u^2 of
+        the KL bound); NaN for a custom policy, whose law is not known."""
+        if self.kind == "iid-gaussian":
+            return self.sigma_u2
+        if self.kind == "zero":
+            return 0.0
+        if self.kind == "impulse":
+            return self.amplitude**2 / horizon
+        return float("nan")
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -182,16 +220,13 @@ class Trajectory:
         return len(self.inputs)
 
 
-def _policy_draws_per_step(policy: InputPolicy) -> int:
-    return 1 if policy.kind == "iid-gaussian" else 0
-
-
 def simulate(sys: LtiSystem, policy: InputPolicy, horizon: int, rng: Prng) -> Trajectory:
     """Roll the dynamics forward from x_0 = 0 for ``horizon`` steps.
 
-    Per step the stream is consumed in a fixed order (input draw first, then
-    the n noise coordinates), so a longer simulation's prefix matches a
-    shorter one on the same stream bitwise.
+    Per step the stream is consumed in a fixed order (the policy's input
+    draws first, then the n noise coordinates; see InputPolicy.open_loop),
+    so a longer simulation's prefix matches a shorter one on the same stream
+    bitwise.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -202,12 +237,12 @@ def simulate(sys: LtiSystem, policy: InputPolicy, horizon: int, rng: Prng) -> Tr
     gen = rng.generator
 
     states = np.zeros((horizon + 1, n))
-    inputs = np.zeros(horizon)
-    residuals = np.zeros(horizon)
 
     if policy.kind == "custom":
         if policy.history_map is None:
             raise ValueError("custom policy requires a history map")
+        inputs = np.zeros(horizon)
+        residuals = np.zeros(horizon)
         x = states[0]
         for t in range(horizon):
             u = float(policy.history_map(t, inputs[:t], states[: t + 1], gen))
@@ -219,16 +254,8 @@ def simulate(sys: LtiSystem, policy: InputPolicy, horizon: int, rng: Prng) -> Tr
             states[t + 1] = x
             residuals[t] = b1 * u + w[0]
     else:
-        u_draws = _policy_draws_per_step(policy)
-        block = gen.standard_normal((horizon, u_draws + n))
-        if policy.kind == "iid-gaussian":
-            inputs = np.sqrt(policy.sigma_u2) * block[:, 0]
-        elif policy.kind == "impulse":
-            if 0 <= policy.impulse_time < horizon:
-                inputs[policy.impulse_time] = policy.amplitude
-        elif policy.kind != "zero":
-            raise ValueError(f"unknown policy kind {policy.kind!r}")
-        noise = sigma_w * block[:, u_draws:]
+        inputs, draws = policy.open_loop(gen, horizon, n)
+        noise = sigma_w * draws
         x = states[0]
         for t in range(horizon):
             x = sys.a @ x + b_col * inputs[t] + noise[t]

@@ -12,7 +12,7 @@ from hardstab.bounds import (
     kl_upper_bound,
 )
 from hardstab.numerics import Prng
-from hardstab.systems import HardFamilyParams, InputPolicy, make_hard_pair
+from hardstab.systems import HardFamilyParams, InputPolicy, make_hard_pair, simulate
 
 PARAMS2 = HardFamilyParams(n=2, r=3.2, v=1.01)
 
@@ -61,6 +61,26 @@ class TestKlMonteCarlo:
         report = kl_monte_carlo(pair, constant, 10, 500, Prng(7))
         expected = 10 * 0.05**2 * 4.0 / 0.01
         assert report.mc_estimate == pytest.approx(expected, rel=0.2)
+
+    @pytest.mark.parametrize(
+        "policy",
+        [InputPolicy.iid_gaussian(32.0), InputPolicy.zero(), InputPolicy.impulse(3, 1.5)],
+        ids=["iid-gaussian", "zero", "impulse"],
+    )
+    def test_open_loop_path_matches_simulate(self, policy):
+        # the estimator reads trial i's stream Prng(s, k + i) exactly as
+        # simulate() does, so the log-ratio mean is the same bit for bit
+        pair = make_hard_pair(PARAMS2, 0.05, noise_variance=0.005)
+        seed, first, horizon, trials = 17, 40, 12, 150
+        log_ratios = np.empty(trials)
+        for i in range(trials):
+            traj = simulate(pair.s1, policy, horizon, Prng(seed, first + i))
+            w1, u = traj.first_coord_residuals, traj.inputs
+            terms = ((w1 - pair.m * u) ** 2 - w1**2) / (2.0 * pair.s1.noise_variance)
+            log_ratios[i] = terms.sum()
+        report = kl_monte_carlo(pair, policy, horizon, trials, Prng(seed, first))
+        assert report.mc_estimate == float(np.mean(log_ratios))
+        assert report.mc_std_error == float(np.std(log_ratios, ddof=1) / math.sqrt(trials))
 
     def test_trial_floor(self):
         pair = make_hard_pair(PARAMS2, 0.05, noise_variance=0.005)

@@ -62,6 +62,32 @@ class TestCeLqrConfig:
             CeLqrConfig(success_threshold=0.0)
         with pytest.raises(ValueError):
             CeLqrConfig(trials=0)
+        # zero input power makes every estimate 0/0; negative noise power
+        # has no square root
+        with pytest.raises(ValueError, match="sigma_u2"):
+            CeLqrConfig(sigma_u2=0.0)
+        with pytest.raises(ValueError, match="sigma_w2"):
+            CeLqrConfig(sigma_w2=-0.005)
+        assert CeLqrConfig(sigma_w2=0.0).sigma_w2 == 0.0
+
+
+class TestStabilityInterval:
+    def test_no_estimate_decided_twice(self):
+        # each decision is a Riccati solve; the search must not repeat one,
+        # and it stops at adjacent floats across each edge
+        decide = experiments._CeDecision(HardFamilyParams(n=4, r=3.2, v=1.01), 0.0)
+        decided = []
+
+        def recording(b1_hat):
+            decided.append(b1_hat)
+            return decide(b1_hat)
+
+        lower, upper = experiments._stability_interval(recording, scale=1e-6)
+        assert len(decided) == len(set(decided))
+        assert lower < 0.0 < upper
+        assert decide(lower) and decide(upper)
+        assert not decide(np.nextafter(lower, -np.inf))
+        assert not decide(np.nextafter(upper, np.inf))
 
 
 class TestRunCeLqr:

@@ -138,6 +138,34 @@ class TestSimulate:
         np.testing.assert_array_equal(traj.inputs, [0.0, 1.0, 2.0, 3.0])
 
 
+class TestInputPolicy:
+    def test_open_loop_stream_layout(self):
+        # per step: one input draw (i.i.d. policy only), then n noise draws
+        block = Prng(4, 2).generator.standard_normal((6, 4))
+        u, noise = InputPolicy.iid_gaussian(9.0).open_loop(Prng(4, 2).generator, 6, 3)
+        np.testing.assert_array_equal(u, 3.0 * block[:, 0])
+        np.testing.assert_array_equal(noise, block[:, 1:])
+        u, noise = InputPolicy.impulse(2, 1.5).open_loop(Prng(4, 2).generator, 6, 4)
+        np.testing.assert_array_equal(u, [0.0, 0.0, 1.5, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(noise, block)
+        u, noise = InputPolicy.zero().open_loop(Prng(4, 2).generator, 6, 4)
+        np.testing.assert_array_equal(u, np.zeros(6))
+        np.testing.assert_array_equal(noise, block)
+
+    def test_open_loop_rejects_custom_and_unknown_kinds(self):
+        generator = Prng(0).generator
+        with pytest.raises(ValueError, match="custom"):
+            InputPolicy.custom(lambda t, u, x, gen: 0.0).open_loop(generator, 5, 2)
+        with pytest.raises(ValueError, match="unknown policy kind 'bogus'"):
+            InputPolicy(kind="bogus").open_loop(generator, 5, 2)
+
+    def test_input_power(self):
+        assert InputPolicy.iid_gaussian(32.0).input_power(10) == 32.0
+        assert InputPolicy.zero().input_power(10) == 0.0
+        assert InputPolicy.impulse(0, 2.0).input_power(8) == 0.5
+        assert np.isnan(InputPolicy.custom(lambda t, u, x, gen: 0.0).input_power(10))
+
+
 class TestLsEstimate:
     def test_noiseless_recovery(self):
         pair = make_hard_pair(PARAMS2, 0.1, noise_variance=0.0)
