@@ -49,14 +49,17 @@ class CostabLmiProblem:
         return self.a.shape[0]
 
     def blocks(self, q: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
-        """The three symmetric blocks [M1, M2, Q] evaluated at (Q, Y)."""
-        out = []
+        """The three symmetric blocks [M1, M2, Q] evaluated at (Q, Y), each a
+        fresh array: M_i = [[Q, (A Q + B_i Y)'], [A Q + B_i Y, Q]]."""
+        n = self.n
         y = np.asarray(y, dtype=float).reshape(1, -1)
-        for b in (self.b1, self.b2):
-            off = self.a @ q + b @ y
-            out.append(np.block([[q, off.T], [off, q]]))
-        out.append(q)
-        return out
+        aq = self.a @ q
+        pair = np.empty((2, 2 * n, 2 * n))
+        pair[:, :n, :n] = pair[:, n:, n:] = q
+        pair[0, n:, :n] = aq + self.b1 @ y
+        pair[1, n:, :n] = aq + self.b2 @ y
+        pair[:, :n, n:] = pair[:, n:, :n].transpose(0, 2, 1)
+        return [pair[0], pair[1], np.array(q, dtype=float)]
 
     def balance(self) -> np.ndarray:
         """Diagonal scaling d_j = (v/r)^(n-j) that equalizes the family's
@@ -92,8 +95,11 @@ class LmiCertificate:
 
 @dataclass(frozen=True)
 class InfeasibleReport:
-    """No certificate with the required margin; status 'inconclusive' means a
-    solver budget ran out while progress was still being made."""
+    """No verified certificate.  Status 'infeasible' means the margin climb
+    stopped (a stall or a level-set collapse) and 'inconclusive' that it was
+    cut off first; see check_feasible.  Neither is checked: best_margin is
+    the largest margin reached, measured in the solver coordinates of its
+    moment, not a bound on the true maximum."""
 
     best_margin: float
     status: str  # "infeasible" | "inconclusive"
@@ -242,42 +248,40 @@ class _BarrierState:
         t = self.transform
         return t @ q @ t.T, y @ t.T
 
-    def _barrier_value(self, x: np.ndarray, level: float) -> Optional[float]:
-        """-(sum of log dets) of the shifted blocks, or None outside the cone."""
+    def _barrier_value(self, x: np.ndarray, level: float) -> Optional[tuple]:
+        """-(sum of log dets) of the blocks shifted down by level, with the
+        shifted blocks, or None outside the cone."""
+        shifted = self.blocks(x)
         value = 0.0
-        for m in self.blocks(x):
-            shifted = m - level * np.eye(m.shape[0])
+        for m in shifted:
+            # m - level * I, in place: off the diagonal it subtracted 0.0
+            m.reshape(-1)[:: m.shape[0] + 1] -= level
             try:
-                chol = np.linalg.cholesky(shifted)
+                diag = np.linalg.cholesky(m).diagonal()
             except np.linalg.LinAlgError:
                 return None
-            diag = np.diag(chol)
-            if np.any(diag <= 0):
+            if (diag <= 0).any():
                 return None
-            value -= 2.0 * float(np.sum(np.log(diag)))
-        return value
+            value -= 2.0 * float(np.log(diag).sum())
+        return value, shifted
 
     def center(self, x: np.ndarray, level: float, max_newton: int = 60) -> np.ndarray:
         """Damped Newton minimization of the barrier at the given level,
         staying on the trace(Q) = n plane."""
-        value = self._barrier_value(x, level)
-        if value is None:
+        barrier = self._barrier_value(x, level)
+        if barrier is None:
             raise ValueError("centering started outside the level set")
+        value, shifted = barrier
         for _ in range(max_newton):
             grad = np.zeros(self.dim)
             hess = np.zeros((self.dim, self.dim))
-            for m, basis, basis_flat in zip(
-                self.blocks(x), self.basis, self.basis_flat
-            ):
-                shifted = m - level * np.eye(m.shape[0])
-                inv = np.linalg.inv(shifted)
+            for m, basis, basis_flat in zip(shifted, self.basis, self.basis_flat):
+                inv = np.linalg.inv(m)
                 inv = 0.5 * (inv + inv.T)
                 grad -= basis_flat @ inv.ravel()
-                w = np.matmul(inv[None, :, :], basis)
-                side = m.shape[0]
-                w_flat = w.reshape(self.dim, side * side)
-                wt_flat = w.transpose(0, 2, 1).reshape(self.dim, side * side)
-                hess += w_flat @ wt_flat.T
+                w = np.matmul(inv, basis)
+                wt = w.transpose(0, 2, 1).reshape(self.dim, -1)
+                hess += w.reshape(self.dim, -1) @ wt.T
             kkt = np.zeros((self.dim + 1, self.dim + 1))
             kkt[: self.dim, : self.dim] = hess
             kkt[: self.dim, self.dim] = self.trace_vector
@@ -297,10 +301,10 @@ class _BarrierState:
             improved = False
             for _ in range(60):
                 candidate = x + alpha * step
-                cand_value = self._barrier_value(candidate, level)
-                if cand_value is not None and cand_value <= value + 0.01 * alpha * slope:
+                barrier = self._barrier_value(candidate, level)
+                if barrier is not None and barrier[0] <= value + 0.01 * alpha * slope:
                     x = candidate
-                    value = cand_value
+                    value, shifted = barrier
                     improved = True
                     break
                 alpha *= 0.5
@@ -342,13 +346,18 @@ def check_feasible(
 ) -> LmiCertificate | InfeasibleReport:
     """Decide strict feasibility of the convexified pair problem.
 
-    Returns a verified LmiCertificate, or an InfeasibleReport whose status
-    distinguishes a converged negative maximum margin ("infeasible") from an
-    exhausted budget ("inconclusive").  The margin is climbed level by level:
-    each level re-centers the log-det barrier of the shifted blocks, then the
-    level moves 85% of the remaining gap.  When the iterate's conditioning
-    grows, coordinates are re-preconditioned so the current certificate
-    becomes the identity.
+    Returns a verified LmiCertificate or an InfeasibleReport.  The margin is
+    climbed level by level: each level re-centers the log-det barrier of the
+    shifted blocks, then the level moves 85% of the remaining gap.  When the
+    iterate's conditioning grows, coordinates are re-preconditioned so the
+    current certificate becomes the identity; this resets the margin lower.
+
+    "infeasible" is not a proof: the climb stopped without a verified
+    certificate, because stall_limit levels in a row (counted across
+    re-preconditionings) gave no new best margin, as in most infeasible
+    probes, or because the level set collapsed onto the margin, as in the
+    probes next to the boundary.  "inconclusive": max_levels ran out, or Q
+    left the positive definite cone, first.
     """
     state = _initial_state(problem, warm_start)
     x = state.start
@@ -375,8 +384,7 @@ def check_feasible(
             if stall >= stall_limit:
                 progressing = False
                 break
-        # the level-set collapse means the maximized margin has converged;
-        # a collapsed negative margin is a confident infeasibility
+        # the level set collapsed onto the margin: the climb is over
         if gap <= max(1e-13, 1e-7 * abs(g)) or (
             g < -1e-12 and gap <= 0.02 * abs(g)
         ):
@@ -389,15 +397,12 @@ def check_feasible(
             break
         if eigs[-1] / eigs[0] > 1e6:
             q_orig, y_orig = state.to_original(x)
-            refreshed = _initial_state(problem, (q_orig, y_orig))
-            state = refreshed
+            state = _initial_state(problem, (q_orig, y_orig))
             x = state.start
             g = state.margin(x)
             level = g - max(1e-12, 0.5 * abs(g))
             continue
         level = g - 0.15 * gap
-    else:
-        return InfeasibleReport(best_margin=best_margin, status="inconclusive")
 
     if progressing:
         return InfeasibleReport(best_margin=best_margin, status="inconclusive")

@@ -189,13 +189,15 @@ class InputPolicy:
 
     def input_power(self, horizon: int) -> float:
         """Mean input power per step over ``horizon`` steps (the sigma_u^2 of
-        the KL bound); NaN for a custom policy, whose law is not known."""
+        the KL bound): 0 for an impulse outside the horizon, which applies no
+        input, and NaN for a custom policy, whose law is not known."""
         if self.kind == "iid-gaussian":
             return self.sigma_u2
         if self.kind == "zero":
             return 0.0
         if self.kind == "impulse":
-            return self.amplitude**2 / horizon
+            applied = 0 <= self.impulse_time < horizon
+            return self.amplitude**2 / horizon if applied else 0.0
         return float("nan")
 
 

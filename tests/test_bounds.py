@@ -55,6 +55,13 @@ class TestKlMonteCarlo:
         expected = m**2 * c**2 / (2 * sigma_w2)
         assert abs(report.mc_estimate - expected) <= 3 * report.mc_std_error
 
+    def test_impulse_outside_horizon_applies_nothing(self):
+        pair = make_hard_pair(PARAMS2, 0.05, noise_variance=0.005)
+        report = kl_monte_carlo(pair, InputPolicy.impulse(500, 1.5), 50, 100, Prng(2))
+        assert report.analytic_bound == 0.0
+        assert report.sigma_u2 == 0.0
+        assert report.mc_estimate == 0.0
+
     def test_custom_policy_path_agrees(self):
         pair = make_hard_pair(PARAMS2, 0.05, noise_variance=0.005)
         constant = InputPolicy.custom(lambda t, u, x, gen: 2.0)

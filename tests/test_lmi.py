@@ -12,6 +12,15 @@ from hardstab.systems import HardFamilyParams, make_hard_pair
 PARAMS2 = HardFamilyParams(n=2, r=3.2, v=1.01)
 
 
+@pytest.fixture(scope="module")
+def golden_bisections():
+    """The v = 1.01 sweep's bisections at n = 2 and n = 3, run once."""
+    return {
+        n: bisect_largest_m(HardFamilyParams(n=n, r=3.2, v=1.01), tolerance=1e-3)
+        for n in (2, 3)
+    }
+
+
 def assert_certificate_sound(problem, cert, tolerance):
     """Direct substitution of the recovered pair into the strict conditions."""
     p = cert.recovered_p
@@ -33,6 +42,31 @@ class TestProblemConstruction:
         y = np.zeros((1, 2))
         blocks = problem.blocks(q, y)
         assert [b.shape for b in blocks] == [(4, 4), (4, 4), (2, 2)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [0.0, 0.1])
+    def test_blocks_match_reference(self, n, m):
+        problem = build_costab_lmi(make_hard_pair(HardFamilyParams(n=n, r=3.2, v=1.01), m))
+        rng = np.random.default_rng(100 * n + int(10 * m))
+        g = rng.standard_normal((n, n))
+        q = g + g.T
+        y = rng.standard_normal((1, n))
+        q_before, y_before = q.copy(), y.copy()
+        blocks = problem.blocks(q, y)
+        for block, b in zip(blocks, (problem.b1, problem.b2)):
+            off = problem.a @ q + b @ y
+            np.testing.assert_array_equal(block, np.block([[q, off.T], [off, q]]))
+        np.testing.assert_array_equal(blocks[2], q)
+        # the blocks share no memory with each other or with (Q, Y)
+        expected = [block.copy() for block in blocks]
+        for i, block in enumerate(blocks):
+            block += 1.0
+            for j, other in enumerate(blocks):
+                if j != i:
+                    np.testing.assert_array_equal(other, expected[j])
+            np.testing.assert_array_equal(q, q_before)
+            np.testing.assert_array_equal(y, y_before)
+            block[...] = expected[i]
 
     def test_duplicate_blocks_at_m_zero(self):
         problem = build_costab_lmi(make_hard_pair(PARAMS2, 0.0))
@@ -90,8 +124,24 @@ class TestCheckFeasible:
 
 
 class TestBisection:
-    def test_n2_boundary(self):
-        result = bisect_largest_m(PARAMS2, tolerance=1e-3)
+    def test_golden_v101(self, golden_bisections):
+        # the sweep's boundaries at r = 3.2, v = 1.01, tolerance 1e-3, bit for bit
+        two, three = golden_bisections[2], golden_bisections[3]
+        assert two.largest_feasible_m == 0.2895953116929235
+        assert three.largest_feasible_m == 0.09142123754717726
+        assert (two.iterations, three.iterations) == (13, 15)
+        feasible, infeasible = "feasible", "infeasible"
+        assert [status for _, status in two.trace] == (
+            [feasible, "infeasible-analytic", infeasible, infeasible, feasible]
+            + [infeasible, feasible, infeasible] + [feasible] * 7
+        )
+        assert [status for _, status in three.trace] == (
+            [feasible, "infeasible-analytic"] + [infeasible] * 4 + [feasible] * 4
+            + [infeasible] * 3 + [feasible] * 4
+        )
+
+    def test_n2_boundary(self, golden_bisections):
+        result = golden_bisections[2]
         assert 0 < result.largest_feasible_m < result.sup_bound
         # cross-validated against two interior-point solvers on the same
         # convexification; regression baseline thereafter

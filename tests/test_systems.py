@@ -163,6 +163,9 @@ class TestInputPolicy:
         assert InputPolicy.iid_gaussian(32.0).input_power(10) == 32.0
         assert InputPolicy.zero().input_power(10) == 0.0
         assert InputPolicy.impulse(0, 2.0).input_power(8) == 0.5
+        # an impulse outside [0, horizon) is never applied
+        assert InputPolicy.impulse(8, 2.0).input_power(8) == 0.0
+        assert InputPolicy.impulse(-1, 2.0).input_power(8) == 0.0
         assert np.isnan(InputPolicy.custom(lambda t, u, x, gen: 0.0).input_power(10))
 
 
