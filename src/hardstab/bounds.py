@@ -65,7 +65,7 @@ class BirgeSpec:
     def __post_init__(self):
         if not 0 < self.delta < 0.5:
             raise ValueError(f"confidence level delta must lie in (0, 1/2), got {self.delta}")
-        if self.sigma_u2 <= 0 or self.sigma_w2 <= 0:
+        if not (self.sigma_u2 > 0 and self.sigma_w2 > 0):
             raise ValueError("sigma_u2 and sigma_w2 must be positive")
 
 
@@ -83,11 +83,24 @@ class BirgeBound:
 
 def kl_upper_bound(horizon: int, m: float, sigma_u2: float, sigma_w2: float) -> float:
     """N m^2 sigma_u^2 / (2 sigma_w^2), in nats."""
-    if sigma_w2 <= 0:
+    if not sigma_w2 > 0:
         raise DegenerateNoiseError("sigma_w2 must be positive for the KL bound")
-    if horizon < 0 or sigma_u2 < 0:
+    if horizon < 0 or not sigma_u2 >= 0:
         raise ValueError("horizon and sigma_u2 must be nonnegative")
     return horizon * m * m * sigma_u2 / (2.0 * sigma_w2)
+
+
+# Cap on the float64 stream draws kl_monte_carlo holds at once (64 KiB): a
+# chunk of open-loop trials of at most this many draws, but at least one trial.
+# The chunk and its log-ratio temporaries add to peak memory; 2**14 measurably
+# raised it, 2**13 did not and was as fast.
+_CHUNK_ELEMENTS = 1 << 13
+
+
+def _log_ratios(m: float, u: np.ndarray, w1: np.ndarray, sigma_w2: float) -> np.ndarray:
+    """Per-trajectory log-likelihood ratios: the residual form summed over
+    the last (time) axis of inputs u and first-coordinate noise w1."""
+    return (((w1 - m * u) ** 2 - w1**2) / (2.0 * sigma_w2)).sum(axis=-1)
 
 
 def kl_monte_carlo(
@@ -104,29 +117,35 @@ def kl_monte_carlo(
     differs between the siblings, so the ratio reduces to the residual form
     ((w - m u)^2 - w^2) / (2 sigma_w^2) summed over steps.  Trial i draws
     from stream index rng.stream + i, so the estimate is deterministic given
-    the rng's (seed, stream).
+    the rng's (seed, stream).  Open-loop policies read those streams through
+    one Prng.streams() iterator, a chunk of consecutive trials at a time,
+    and compute each chunk's ratios in one array expression.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
     sigma_w2 = pair.s1.noise_variance
-    if sigma_w2 <= 0:
+    if not sigma_w2 > 0:
         raise DegenerateNoiseError("pair noise variance must be positive")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
 
     m = pair.m
-    sigma_w = math.sqrt(sigma_w2)
     log_ratios = np.empty(trials)
-    for i in range(trials):
-        stream = rng.spawn(rng.stream + i)
-        if policy.kind == "custom":
-            traj = simulate(pair.s1, policy, horizon, stream)
-            u, w1 = traj.inputs, traj.first_coord_residuals  # b1 = 0 under s1
-        else:
-            # state feedback never enters the ratio, so states need not be formed
-            u, draws = policy.open_loop(stream.generator, horizon, pair.s1.n)
-            w1 = sigma_w * draws[:, 0]
-        log_ratios[i] = (((w1 - m * u) ** 2 - w1**2) / (2.0 * sigma_w2)).sum()
+    if policy.kind == "custom":
+        for i in range(trials):
+            traj = simulate(pair.s1, policy, horizon, rng.spawn(rng.stream + i))
+            # b1 = 0 under s1, so the residuals are the noise w1
+            log_ratios[i] = _log_ratios(m, traj.inputs, traj.first_coord_residuals, sigma_w2)
+    else:
+        # state feedback never enters the ratio, so states need not be formed
+        sigma_w = math.sqrt(sigma_w2)
+        streams = rng.streams(trials)
+        per_chunk = max(1, _CHUNK_ELEMENTS // (horizon * (pair.s1.n + 1)))
+        for start in range(0, trials, per_chunk):
+            count = min(per_chunk, trials - start)
+            u, draws = policy.open_loop(streams, count, horizon, pair.s1.n)
+            w1 = sigma_w * draws[:, :, 0]
+            log_ratios[start : start + count] = _log_ratios(m, u, w1, sigma_w2)
 
     estimate = float(np.mean(log_ratios))
     std_error = float(np.std(log_ratios, ddof=1) / math.sqrt(trials))

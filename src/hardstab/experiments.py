@@ -185,8 +185,9 @@ def _estimate_chunks(
             width = min(chunk, stop - consumed)
             b_hats = np.empty((config.trials, width))
             for i, gen in enumerate(generators):
-                u, noise = policy.open_loop(gen, width, n)
-                res = config.true_b1 * u + sigma_w * noise[:, 0]
+                u, noise = policy.open_loop((gen,), 1, width, n)
+                u = u[0]
+                res = config.true_b1 * u + sigma_w * noise[0, :, 0]
                 cum_uu = np.cumsum(np.concatenate(([sums_uu[i]], u * u)))[1:]
                 cum_ur = np.cumsum(np.concatenate(([sums_ur[i]], u * res)))[1:]
                 sums_uu[i] = cum_uu[-1]

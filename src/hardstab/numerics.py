@@ -9,6 +9,7 @@ order (``coeffs[k]`` multiplies ``z**k``).  Matrices are dense float64
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -39,6 +40,11 @@ class DareError(RuntimeError):
         super().__init__(message)
 
 
+def _philox_key(seed: int, stream: int) -> tuple[int, int]:
+    """The two 64-bit Philox key words of stream ``stream`` of ``seed``."""
+    return seed % 2**64, stream % 2**64
+
+
 @dataclass
 class Prng:
     """Counter-based random stream addressed by a (seed, stream) pair.
@@ -53,7 +59,7 @@ class Prng:
     _generator: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        key = np.array([self.seed % 2**64, self.stream % 2**64], dtype=np.uint64)
+        key = np.array(_philox_key(self.seed, self.stream), dtype=np.uint64)
         self._generator = np.random.Generator(np.random.Philox(key=key))
 
     @property
@@ -64,10 +70,36 @@ class Prng:
         """Fresh stream with the same seed and the given stream index."""
         return Prng(self.seed, stream)
 
+    def streams(self, count: int) -> Iterator[np.random.Generator]:
+        """Generators of streams stream, ..., stream + count - 1 (mod 2**64),
+        in order, each equal bit for bit to ``Prng(seed, stream + i).generator``.
+
+        One Philox and one Generator serve every stream: before each yield
+        the Philox is re-keyed and its counter and buffered output are reset
+        to those of a freshly keyed Philox, which costs a fraction of
+        building a new one.  So each yielded generator is valid only until
+        the next one is taken; a caller must finish drawing from it first.
+        """
+        key = np.zeros(2, dtype=np.uint64)
+        bit_generator = np.random.Philox(key=key)
+        generator = np.random.Generator(bit_generator)
+        fresh = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        for i in range(count):
+            key[:] = _philox_key(self.seed, self.stream + i)
+            bit_generator.state = fresh  # copies the arrays it is given
+            yield generator
+
 
 def gaussian_sample(rng: Prng, mean: float, variance: float, count: int) -> np.ndarray:
     """i.i.d. normal samples; deterministic given the rng's (seed, stream)."""
-    if variance < 0:
+    if not variance >= 0:
         raise ValueError(f"variance must be nonnegative, got {variance}")
     return rng.generator.normal(mean, np.sqrt(variance), size=count)
 

@@ -9,9 +9,10 @@ w_t i.i.d. N(0, sigma_w^2 I), and x_0 = 0.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class LtiSystem:
             raise ValueError(f"A must be square, got shape {a.shape}")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("system matrices must be finite")
-        if self.noise_variance < 0:
+        if not self.noise_variance >= 0:
             raise ValueError("noise variance must be nonnegative")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -144,7 +145,7 @@ class InputPolicy:
 
     @staticmethod
     def iid_gaussian(sigma_u2: float) -> "InputPolicy":
-        if sigma_u2 < 0:
+        if not sigma_u2 >= 0:
             raise ValueError("sigma_u2 must be nonnegative")
         return InputPolicy(kind="iid-gaussian", sigma_u2=sigma_u2)
 
@@ -162,30 +163,41 @@ class InputPolicy:
         return InputPolicy(kind="custom", history_map=history_map)
 
     def open_loop(
-        self, generator: np.random.Generator, horizon: int, n: int
+        self, generators: Iterable[np.random.Generator], count: int, horizon: int, n: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(inputs, standard-normal noise draws) of ``horizon`` open-loop
-        steps of an n-dimensional system, shaped (horizon,) and (horizon, n).
+        """(inputs, standard-normal noise draws) of ``count`` open-loop
+        rollouts of ``horizon`` steps of an n-dimensional system, one from
+        each of the next ``count`` generators of ``generators``, shaped
+        (count, horizon) and (count, horizon, n).
 
         The one stream layout: per step, one input draw (i.i.d. Gaussian
-        policy only), then the n noise coordinates, read as one
-        (horizon, draws + n) block, so a longer rollout's prefix matches a
-        shorter one bitwise.  A custom policy has no open-loop form: it
-        draws step by step inside simulate().
+        policy only), then the n noise coordinates, read from a rollout's
+        generator as one (horizon, draws + n) block, so a longer rollout's
+        prefix matches a shorter one bitwise.  Each generator is read in
+        full before the next is taken and no more than ``count`` are taken,
+        so ``generators`` may be one Prng.streams() iterator shared by
+        successive calls.  A custom policy has no open-loop form: it draws
+        step by step inside simulate().
         """
         if self.kind == "custom":
             raise ValueError("a custom policy has no open-loop form; use simulate()")
         if self.kind not in ("iid-gaussian", "zero", "impulse"):
             raise ValueError(f"unknown policy kind {self.kind!r}")
         draws = 1 if self.kind == "iid-gaussian" else 0
-        block = generator.standard_normal((horizon, draws + n))
+        block = np.empty((count, horizon, draws + n))
+        taken = 0
+        for generator in itertools.islice(generators, count):
+            generator.standard_normal(out=block[taken])
+            taken += 1
+        if taken < count:
+            raise ValueError(f"{count} rollouts need {count} generators, got {taken}")
         if draws:
-            inputs = math.sqrt(self.sigma_u2) * block[:, 0]
+            inputs = math.sqrt(self.sigma_u2) * block[:, :, 0]
         else:
-            inputs = np.zeros(horizon)
+            inputs = np.zeros((count, horizon))
             if self.kind == "impulse" and 0 <= self.impulse_time < horizon:
-                inputs[self.impulse_time] = self.amplitude
-        return inputs, block[:, draws:]
+                inputs[:, self.impulse_time] = self.amplitude
+        return inputs, block[:, :, draws:]
 
     def input_power(self, horizon: int) -> float:
         """Mean input power per step over ``horizon`` steps (the sigma_u^2 of
@@ -256,8 +268,8 @@ def simulate(sys: LtiSystem, policy: InputPolicy, horizon: int, rng: Prng) -> Tr
             states[t + 1] = x
             residuals[t] = b1 * u + w[0]
     else:
-        inputs, draws = policy.open_loop(gen, horizon, n)
-        noise = sigma_w * draws
+        inputs, draws = policy.open_loop((gen,), 1, horizon, n)
+        inputs, noise = inputs[0], sigma_w * draws[0]
         x = states[0]
         for t in range(horizon):
             x = sys.a @ x + b_col * inputs[t] + noise[t]

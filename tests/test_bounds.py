@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hardstab import bounds
 from hardstab.bounds import (
     BirgeSpec,
     DegenerateNoiseError,
@@ -29,6 +30,10 @@ class TestKlUpperBound:
     def test_degenerate_noise_rejected(self):
         with pytest.raises(DegenerateNoiseError):
             kl_upper_bound(10, 0.1, 32.0, 0.0)
+        with pytest.raises(DegenerateNoiseError):
+            kl_upper_bound(10, 0.1, 32.0, float("nan"))
+        with pytest.raises(ValueError):
+            kl_upper_bound(10, 0.1, float("nan"), 0.005)
 
 
 class TestKlMonteCarlo:
@@ -74,9 +79,13 @@ class TestKlMonteCarlo:
         [InputPolicy.iid_gaussian(32.0), InputPolicy.zero(), InputPolicy.impulse(3, 1.5)],
         ids=["iid-gaussian", "zero", "impulse"],
     )
-    def test_open_loop_path_matches_simulate(self, policy):
+    def test_open_loop_path_matches_simulate(self, policy, monkeypatch):
         # the estimator reads trial i's stream Prng(s, k + i) exactly as
-        # simulate() does, so the log-ratio mean is the same bit for bit
+        # simulate() does, so the log-ratio mean is the same bit for bit,
+        # whatever the chunking: a trial here is 12 steps x 3 draws = 36
+        # elements, so the default cap (2**13) puts all 150 trials in one
+        # chunk, a cap of 1 gives one trial per chunk and 7 * 36 + 5 gives
+        # 7 trials per chunk (150 = 21 * 7 + 3)
         pair = make_hard_pair(PARAMS2, 0.05, noise_variance=0.005)
         seed, first, horizon, trials = 17, 40, 12, 150
         log_ratios = np.empty(trials)
@@ -85,9 +94,11 @@ class TestKlMonteCarlo:
             w1, u = traj.first_coord_residuals, traj.inputs
             terms = ((w1 - pair.m * u) ** 2 - w1**2) / (2.0 * pair.s1.noise_variance)
             log_ratios[i] = terms.sum()
-        report = kl_monte_carlo(pair, policy, horizon, trials, Prng(seed, first))
-        assert report.mc_estimate == float(np.mean(log_ratios))
-        assert report.mc_std_error == float(np.std(log_ratios, ddof=1) / math.sqrt(trials))
+        for chunk_elements in (bounds._CHUNK_ELEMENTS, 1, 7 * 36 + 5):
+            monkeypatch.setattr(bounds, "_CHUNK_ELEMENTS", chunk_elements)
+            report = kl_monte_carlo(pair, policy, horizon, trials, Prng(seed, first))
+            assert report.mc_estimate == float(np.mean(log_ratios))
+            assert report.mc_std_error == float(np.std(log_ratios, ddof=1) / math.sqrt(trials))
 
     def test_trial_floor(self):
         pair = make_hard_pair(PARAMS2, 0.05, noise_variance=0.005)
@@ -189,3 +200,11 @@ class TestBirgeMinSamples:
     def test_delta_domain(self):
         with pytest.raises(ValueError):
             BirgeSpec(delta=0.6, params=PARAMS2, sigma_u2=32.0, sigma_w2=0.005)
+
+    @pytest.mark.parametrize(
+        "sigma_u2, sigma_w2",
+        [(0.0, 0.005), (32.0, -1.0), (float("nan"), 0.005), (32.0, float("nan"))],
+    )
+    def test_variance_domain(self, sigma_u2, sigma_w2):
+        with pytest.raises(ValueError, match="must be positive"):
+            BirgeSpec(delta=0.1, params=PARAMS2, sigma_u2=sigma_u2, sigma_w2=sigma_w2)

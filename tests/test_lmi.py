@@ -21,6 +21,12 @@ def golden_bisections():
     }
 
 
+@pytest.fixture(scope="module")
+def coarse_n2_bisection():
+    """The n = 2, tolerance 1e-2 bisection, run once."""
+    return bisect_largest_m(PARAMS2, tolerance=1e-2)
+
+
 def assert_certificate_sound(problem, cert, tolerance):
     """Direct substitution of the recovered pair into the strict conditions."""
     p = cert.recovered_p
@@ -149,14 +155,14 @@ class TestBisection:
         assert result.certificate is not None
         assert not result.conservative
 
-    def test_bracket_invariant(self):
-        result = bisect_largest_m(PARAMS2, tolerance=1e-2)
+    def test_bracket_invariant(self, coarse_n2_bisection):
+        result = coarse_n2_bisection
         lo, hi = result.bracket
         assert lo <= result.largest_feasible_m <= hi
         assert hi - lo <= 1e-2 * max(lo, 1e-12) + 1e-12 or hi - lo <= 1e-2 * hi
 
-    def test_feasibility_monotone_on_trace(self):
-        result = bisect_largest_m(PARAMS2, tolerance=1e-2)
+    def test_feasibility_monotone_on_trace(self, coarse_n2_bisection):
+        result = coarse_n2_bisection
         feasible = [m for m, s in result.trace if s == "feasible"]
         infeasible = [m for m, s in result.trace if s != "feasible"]
         assert max(feasible) < min(infeasible)

@@ -147,10 +147,37 @@ class TestPrng:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             gaussian_sample(Prng(1), 0.0, -1.0, 4)
+        with pytest.raises(ValueError):
+            gaussian_sample(Prng(1), 0.0, float("nan"), 4)
 
     def test_large_sample_variance(self):
         samples = gaussian_sample(Prng(2024), 0.0, 32.0, 10**6)
         assert np.var(samples) == pytest.approx(32.0, rel=0.01)
+
+    def test_streams_match_fresh_generators(self):
+        # re-keyed streams equal Prng(seed, stream + i) bit for bit
+        streams = [g.standard_normal((9, 3)) for g in Prng(42, 7).streams(4)]
+        fresh = [Prng(42, 7 + i).generator.standard_normal((9, 3)) for i in range(4)]
+        np.testing.assert_array_equal(streams, fresh)
+
+    def test_streams_reset_buffered_output(self):
+        # an odd count of 32-bit draws leaves half of a 64-bit word pending
+        # (has_uint32), and 2 + 5 words leave the Philox output buffer partly
+        # used; neither may leak into the next stream
+        taken = []
+        for g in Prng(5, 3).streams(3):
+            taken.append((g.random(5), g.integers(0, 2**32, size=3, dtype=np.uint32)))
+            state = g.bit_generator.state
+            assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+        for i, (doubles, ints) in enumerate(taken):
+            fresh = Prng(5, 3 + i).generator
+            np.testing.assert_array_equal(doubles, fresh.random(5))
+            np.testing.assert_array_equal(ints, fresh.integers(0, 2**32, size=3, dtype=np.uint32))
+
+    def test_streams_wrap_at_two_to_the_64(self):
+        wrapped = [g.standard_normal(6) for g in Prng(9, 2**64 - 1).streams(3)]
+        fresh = [Prng(9, stream).generator.standard_normal(6) for stream in (2**64 - 1, 0, 1)]
+        np.testing.assert_array_equal(wrapped, fresh)
 
     def test_split_prefix_property(self):
         g1 = Prng(7, 5).generator

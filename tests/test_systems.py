@@ -46,6 +46,9 @@ class TestHardPair:
             HardFamilyParams(n=2, r=0.9, v=0.01)
         with pytest.raises(ParameterError):
             make_hard_pair(PARAMS2, -0.5)
+        for variance in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="noise variance must be nonnegative"):
+                make_hard_pair(PARAMS2, 0.1, noise_variance=variance)
 
     def test_shared_a(self):
         pair = make_hard_pair(PARAMS2, 0.25)
@@ -142,22 +145,48 @@ class TestInputPolicy:
     def test_open_loop_stream_layout(self):
         # per step: one input draw (i.i.d. policy only), then n noise draws
         block = Prng(4, 2).generator.standard_normal((6, 4))
-        u, noise = InputPolicy.iid_gaussian(9.0).open_loop(Prng(4, 2).generator, 6, 3)
-        np.testing.assert_array_equal(u, 3.0 * block[:, 0])
-        np.testing.assert_array_equal(noise, block[:, 1:])
-        u, noise = InputPolicy.impulse(2, 1.5).open_loop(Prng(4, 2).generator, 6, 4)
-        np.testing.assert_array_equal(u, [0.0, 0.0, 1.5, 0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(noise, block)
-        u, noise = InputPolicy.zero().open_loop(Prng(4, 2).generator, 6, 4)
-        np.testing.assert_array_equal(u, np.zeros(6))
-        np.testing.assert_array_equal(noise, block)
+        u, noise = InputPolicy.iid_gaussian(9.0).open_loop([Prng(4, 2).generator], 1, 6, 3)
+        np.testing.assert_array_equal(u, [3.0 * block[:, 0]])
+        np.testing.assert_array_equal(noise, [block[:, 1:]])
+        u, noise = InputPolicy.impulse(2, 1.5).open_loop([Prng(4, 2).generator], 1, 6, 4)
+        np.testing.assert_array_equal(u, [[0.0, 0.0, 1.5, 0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(noise, [block])
+        u, noise = InputPolicy.zero().open_loop([Prng(4, 2).generator], 1, 6, 4)
+        np.testing.assert_array_equal(u, np.zeros((1, 6)))
+        np.testing.assert_array_equal(noise, [block])
+
+    def test_open_loop_batch_rows(self):
+        # row i is the rollout of the i-th generator taken; a shared stream
+        # iterator gives no generator beyond the requested count
+        policy = InputPolicy.iid_gaussian(9.0)
+        streams = Prng(4, 10).streams(5)
+        first_u, first_noise = policy.open_loop(streams, 2, 6, 3)
+        rest_u, rest_noise = policy.open_loop(streams, 3, 6, 3)
+        u = np.concatenate([first_u, rest_u])
+        noise = np.concatenate([first_noise, rest_noise])
+        assert u.shape == (5, 6) and noise.shape == (5, 6, 3)
+        for i in range(5):
+            single_u, single_noise = policy.open_loop([Prng(4, 10 + i).generator], 1, 6, 3)
+            np.testing.assert_array_equal(u[i], single_u[0])
+            np.testing.assert_array_equal(noise[i], single_noise[0])
+        impulse_u, _ = InputPolicy.impulse(1, 2.0).open_loop(Prng(4).streams(3), 3, 4, 2)
+        np.testing.assert_array_equal(impulse_u, [[0.0, 2.0, 0.0, 0.0]] * 3)
+
+    def test_open_loop_needs_count_generators(self):
+        with pytest.raises(ValueError, match="3 rollouts need 3 generators, got 2"):
+            InputPolicy.zero().open_loop(Prng(0).streams(2), 3, 5, 2)
 
     def test_open_loop_rejects_custom_and_unknown_kinds(self):
-        generator = Prng(0).generator
+        generators = [Prng(0).generator]
         with pytest.raises(ValueError, match="custom"):
-            InputPolicy.custom(lambda t, u, x, gen: 0.0).open_loop(generator, 5, 2)
+            InputPolicy.custom(lambda t, u, x, gen: 0.0).open_loop(generators, 1, 5, 2)
         with pytest.raises(ValueError, match="unknown policy kind 'bogus'"):
-            InputPolicy(kind="bogus").open_loop(generator, 5, 2)
+            InputPolicy(kind="bogus").open_loop(generators, 1, 5, 2)
+
+    @pytest.mark.parametrize("sigma_u2", [-1.0, float("nan")])
+    def test_iid_gaussian_rejects_bad_variance(self, sigma_u2):
+        with pytest.raises(ValueError, match="sigma_u2 must be nonnegative"):
+            InputPolicy.iid_gaussian(sigma_u2)
 
     def test_input_power(self):
         assert InputPolicy.iid_gaussian(32.0).input_power(10) == 32.0
