@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -27,8 +26,8 @@ class KlReport:
     """Analytic KL bound beside its Monte-Carlo estimate (both in nats)."""
 
     analytic_bound: float
-    mc_estimate: Optional[float]
-    mc_std_error: Optional[float]
+    mc_estimate: float
+    mc_std_error: float
     horizon: int
     m: float
     sigma_u2: float
@@ -45,8 +44,8 @@ class KlReport:
             "%.17g" % self.sigma_u2,
             "%.17g" % self.sigma_w2,
             "%.17g" % self.analytic_bound,
-            "" if self.mc_estimate is None else "%.17g" % self.mc_estimate,
-            "" if self.mc_std_error is None else "%.17g" % self.mc_std_error,
+            "%.17g" % self.mc_estimate,
+            "%.17g" % self.mc_std_error,
             str(self.trials),
             str(self.seed),
         ]
@@ -185,5 +184,4 @@ def birge_min_samples(spec: BirgeSpec) -> BirgeBound:
         * ratio ** (2 * params.n)
         * math.log(1.0 / (3.0 * spec.delta))
     )
-    theorem_m = 2.0 * (2.0 * params.v / (params.r - 1.0)) ** params.n
-    return BirgeBound(min_samples=min_samples, theorem_m=theorem_m)
+    return BirgeBound(min_samples=min_samples, theorem_m=params.theorem_m)

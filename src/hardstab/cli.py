@@ -171,11 +171,22 @@ def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  A value the library or the config reader rejects
+    (a ValueError such as ParameterError or PoleSetError) ends like any bad
+    flag: a usage message and exit status 2.  Numerical faults (the
+    RuntimeError subclasses, and numpy's LinAlgError) keep their traceback."""
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _apply_config(argv, parser)
-    args = parser.parse_args(argv)
+    try:
+        _run(parser.parse_args(_apply_config(argv, parser)))
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as error:
+        parser.error(str(error))
+    return 0
 
+
+def _run(args: argparse.Namespace) -> None:
     if args.command == "pair":
         params = systems.HardFamilyParams(n=args.n, r=args.r, v=args.v)
         pair = systems.make_hard_pair(params, args.m)
@@ -296,8 +307,6 @@ def main(argv=None) -> int:
     elif args.command == "plot":
         path = plotting.render_plot(args.csv, args.x, args.y, args.svg)
         print(f"wrote {path}")
-
-    return 0
 
 
 if __name__ == "__main__":

@@ -42,7 +42,6 @@ class CeLqrConfig:
     sigma_w2: float = 0.005
     trials: int = 200
     success_threshold: float = 0.9
-    grid_ratio: float = 1.2
     max_probe_length: int = 10**6
     seed: int = 0
 
@@ -51,8 +50,6 @@ class CeLqrConfig:
             raise ValueError("success threshold must lie in (0, 1]")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if self.grid_ratio <= 1:
-            raise ValueError("grid ratio must exceed 1")
         # sigma_u2 = 0 would make every estimate 0/0, and a negative variance
         # has no square root; either row would stream to max_probe_length
         if not self.sigma_u2 > 0:
@@ -147,10 +144,14 @@ def _stability_interval(decide: _CeDecision, scale: float) -> tuple[float, float
     return (_stable_edge(decide, -scale), _stable_edge(decide, scale))
 
 
-def _grid_points(start: int, ratio: float, cap: int) -> list[int]:
+# Successive trajectory lengths the search stops at grow by this factor
+_GRID_RATIO = 1.2
+
+
+def _grid_points(start: int, cap: int) -> list[int]:
     points = [start]
     while points[-1] < cap:
-        nxt = max(points[-1] + 1, int(round(points[-1] * ratio)))
+        nxt = max(points[-1] + 1, int(round(points[-1] * _GRID_RATIO)))
         points.append(min(nxt, cap))
     return points
 
@@ -218,7 +219,7 @@ def _run_ce_lqr_single(config: CeLqrConfig, n: int) -> CeLqrRow:
 
     trials = config.trials
     threshold = config.success_threshold
-    grid = _grid_points(n + 1, config.grid_ratio, config.max_probe_length)
+    grid = _grid_points(n + 1, config.max_probe_length)
 
     min_n = None
     hit = None  # (N, estimates at N and N - 1): first pass since the last failing point

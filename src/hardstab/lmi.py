@@ -28,6 +28,12 @@ from .synthesis import FeedbackGain
 from .systems import HardFamilyParams, HardPair, make_hard_pair
 
 _EPS = np.finfo(float).eps
+# Newton steps per barrier centering
+_MAX_NEWTON = 60
+# check_feasible gives up after this many barrier levels ("inconclusive"), or
+# after this many levels in a row without a new best margin ("infeasible")
+_MAX_LEVELS = 400
+_STALL_LIMIT = 50
 
 
 class BisectionError(RuntimeError):
@@ -41,7 +47,6 @@ class CostabLmiProblem:
     a: np.ndarray
     b1: np.ndarray
     b2: np.ndarray
-    m: float
     params: HardFamilyParams
 
     @property
@@ -69,9 +74,7 @@ class CostabLmiProblem:
 
 
 def build_costab_lmi(pair: HardPair) -> CostabLmiProblem:
-    return CostabLmiProblem(
-        a=pair.s1.a, b1=pair.s1.b, b2=pair.s2.b, m=pair.m, params=pair.params
-    )
+    return CostabLmiProblem(a=pair.s1.a, b1=pair.s1.b, b2=pair.s2.b, params=pair.params)
 
 
 @dataclass(frozen=True)
@@ -166,7 +169,7 @@ def _verify_certificate(
     return LmiCertificate(
         q=q,
         y=np.asarray(y, dtype=float).reshape(1, -1),
-        recovered_k=FeedbackGain(k=k_row.ravel(), designed_poles=None),
+        recovered_k=FeedbackGain(k=k_row.ravel()),
         recovered_p=p,
         margin=schur_margin,
         p_min_eigenvalue=p_min,
@@ -265,14 +268,14 @@ class _BarrierState:
             value -= 2.0 * float(np.log(diag).sum())
         return value, shifted
 
-    def center(self, x: np.ndarray, level: float, max_newton: int = 60) -> np.ndarray:
+    def center(self, x: np.ndarray, level: float) -> np.ndarray:
         """Damped Newton minimization of the barrier at the given level,
         staying on the trace(Q) = n plane."""
         barrier = self._barrier_value(x, level)
         if barrier is None:
             raise ValueError("centering started outside the level set")
         value, shifted = barrier
-        for _ in range(max_newton):
+        for _ in range(_MAX_NEWTON):
             grad = np.zeros(self.dim)
             hess = np.zeros((self.dim, self.dim))
             for m, basis, basis_flat in zip(shifted, self.basis, self.basis_flat):
@@ -341,8 +344,6 @@ def check_feasible(
     problem: CostabLmiProblem,
     tolerance: float = 1e-6,
     warm_start: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    max_levels: int = 400,
-    stall_limit: int = 50,
 ) -> LmiCertificate | InfeasibleReport:
     """Decide strict feasibility of the convexified pair problem.
 
@@ -353,10 +354,10 @@ def check_feasible(
     current certificate becomes the identity; this resets the margin lower.
 
     "infeasible" is not a proof: the climb stopped without a verified
-    certificate, because stall_limit levels in a row (counted across
+    certificate, because _STALL_LIMIT (50) levels in a row (counted across
     re-preconditionings) gave no new best margin, as in most infeasible
     probes, or because the level set collapsed onto the margin, as in the
-    probes next to the boundary.  "inconclusive": max_levels ran out, or Q
+    probes next to the boundary.  "inconclusive": _MAX_LEVELS (400) ran out, or Q
     left the positive definite cone, first.
     """
     state = _initial_state(problem, warm_start)
@@ -365,9 +366,8 @@ def check_feasible(
     level = g - max(1.0, 0.25 * abs(g))
     best_margin = -math.inf
     stall = 0
-    progressing = True
 
-    for _ in range(max_levels):
+    for _ in range(_MAX_LEVELS):
         x = state.center(x, level)
         g = state.margin(x)
         gap = g - level
@@ -381,15 +381,13 @@ def check_feasible(
             stall = 0
         else:
             stall += 1
-            if stall >= stall_limit:
-                progressing = False
-                break
+            if stall >= _STALL_LIMIT:
+                return InfeasibleReport(best_margin=best_margin, status="infeasible")
         # the level set collapsed onto the margin: the climb is over
         if gap <= max(1e-13, 1e-7 * abs(g)) or (
             g < -1e-12 and gap <= 0.02 * abs(g)
         ):
-            progressing = False
-            break
+            return InfeasibleReport(best_margin=best_margin, status="infeasible")
         # re-precondition once the certificate drifts far from the identity
         q_s, _ = state.unpack(x)
         eigs = np.linalg.eigvalsh(q_s)
@@ -404,32 +402,23 @@ def check_feasible(
             continue
         level = g - 0.15 * gap
 
-    if progressing:
-        return InfeasibleReport(best_margin=best_margin, status="inconclusive")
-    return InfeasibleReport(best_margin=best_margin, status="infeasible")
+    return InfeasibleReport(best_margin=best_margin, status="inconclusive")
 
 
-def bisect_largest_m(
-    params: HardFamilyParams,
-    tolerance: float = 1e-3,
-    feasibility_tolerance: float = 1e-6,
-) -> BisectionResult:
+def bisect_largest_m(params: HardFamilyParams, tolerance: float = 1e-3) -> BisectionResult:
     """Largest perturbation for which the pair problem stays feasible.
 
-    The bracket starts at [0, 2 (2v/(r-1))^n]; the upper end cannot admit a
+    The bracket starts at [0, params.theorem_m]; the upper end cannot admit a
     common gain at all, so it is infeasible without solving.  Probes treat an
     inconclusive solver status as infeasible and flag the result as
     conservative.  The feasible endpoint's certificate warm-starts each probe.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    sup_bound = (2 * params.v / (params.r - 1.0)) ** params.n
-    theorem_m = 2.0 * sup_bound
+    theorem_m = params.theorem_m
 
     lo = 0.0
-    outcome = check_feasible(
-        build_costab_lmi(make_hard_pair(params, 0.0)), feasibility_tolerance
-    )
+    outcome = check_feasible(build_costab_lmi(make_hard_pair(params, 0.0)))
     if not outcome.feasible:
         raise RuntimeError(
             f"could not certify feasibility at m = 0 for n = {params.n}; "
@@ -445,9 +434,7 @@ def bisect_largest_m(
     while hi - lo > tolerance * max(lo, theorem_m * 1e-9):
         mid = 0.5 * (lo + hi)
         outcome = check_feasible(
-            build_costab_lmi(make_hard_pair(params, mid)),
-            feasibility_tolerance,
-            warm_start=warm,
+            build_costab_lmi(make_hard_pair(params, mid)), warm_start=warm
         )
         iterations += 1
         if outcome.feasible:
@@ -475,7 +462,7 @@ def bisect_largest_m(
         bracket=(lo, hi),
         iterations=iterations,
         certificate=certificate,
-        sup_bound=sup_bound,
+        sup_bound=params.sup_bound,
         theorem_m=theorem_m,
         conservative=conservative,
         trace=tuple(trace),

@@ -132,9 +132,13 @@ def poly_from_roots(roots) -> np.ndarray:
 
 
 _DK_PHASE_RNG_KEY = np.array([0x9E3779B97F4A7C15, 0], dtype=np.uint64)
+# Durand-Kerner stops after this many sweeps, or once no root moves farther
+# than the step tolerance
+_DK_MAX_ITERATIONS = 500
+_DK_STEP_TOLERANCE = 1e-12
 
 
-def poly_roots(coeffs, max_iterations: int = 500, step_tolerance: float = 1e-12) -> np.ndarray:
+def poly_roots(coeffs) -> np.ndarray:
     """All complex roots via Durand-Kerner simultaneous iteration.
 
     Initial guesses sit on a circle of radius 1 + max|coeff| with random
@@ -156,7 +160,7 @@ def poly_roots(coeffs, max_iterations: int = 500, step_tolerance: float = 1e-12)
     angles = 2 * np.pi * (np.arange(degree) + phase_rng.random(degree)) / degree
     z = radius * np.exp(1j * angles)
 
-    for _ in range(max_iterations):
+    for _ in range(_DK_MAX_ITERATIONS):
         values = poly_eval(monic, z)
         denom = np.ones(degree, dtype=complex)
         for i in range(degree):
@@ -164,12 +168,12 @@ def poly_roots(coeffs, max_iterations: int = 500, step_tolerance: float = 1e-12)
             denom[i] = np.prod(diff)
         step = values / denom
         z = z - step
-        if np.max(np.abs(step)) < step_tolerance:
+        if np.max(np.abs(step)) < _DK_STEP_TOLERANCE:
             break
 
     residuals = np.abs(poly_eval(original, z))
     if np.max(residuals) > 1e-8 * np.max(np.abs(original)):
-        raise RootFindingError(original, max_iterations)
+        raise RootFindingError(original, _DK_MAX_ITERATIONS)
     return z
 
 
@@ -196,6 +200,9 @@ def characteristic_polynomial(m) -> np.ndarray:
     return coeffs
 
 
+_DARE_MAX_ITERATIONS = 100_000
+
+
 @dataclass
 class DareSolution:
     """Stabilizing Riccati fixed point with the optimal feedback row."""
@@ -213,7 +220,6 @@ def solve_dare(
     r,
     tolerance: float = 1e-9,
     rel_tolerance: float = 0.0,
-    max_iterations: int = 100_000,
 ) -> DareSolution:
     """Fixed-point iteration P <- A'PA - A'PB(R + B'PB)^-1 B'PA + Q from P0 = Q.
 
@@ -234,7 +240,7 @@ def solve_dare(
     p = q.copy()
     best_residual = np.inf
     stall = 0
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, _DARE_MAX_ITERATIONS + 1):
         btp = b.T @ p
         gram = r + btp @ b
         try:

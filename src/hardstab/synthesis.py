@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,8 +31,8 @@ class PoleSetError(ValueError):
 _CONJUGATE_TOL = 1e-9
 
 
-def _validate_conjugate_closed(poles: Sequence[complex]) -> np.ndarray:
-    """Return the poles as a complex array, failing unless the multiset is
+def _validate_conjugate_closed(poles: Sequence[complex], n: int) -> np.ndarray:
+    """Return the n poles as a complex array, failing unless the multiset is
     closed under conjugation (required for a real gain)."""
     p = np.atleast_1d(np.asarray(poles, dtype=complex))
     scale = max(1.0, float(np.max(np.abs(p))))
@@ -49,6 +49,17 @@ def _validate_conjugate_closed(poles: Sequence[complex]) -> np.ndarray:
         if match is None:
             raise PoleSetError(f"pole set is not conjugate-closed: unmatched {z}")
         remaining.pop(match)
+    if p.size != n:
+        raise PoleSetError(f"need {n} poles, got {p.size}")
+    return p
+
+
+def _stable_poles(poles: Sequence[complex], n: int) -> np.ndarray:
+    """The n poles as by _validate_conjugate_closed, all strictly inside the
+    unit circle."""
+    p = _validate_conjugate_closed(poles, n)
+    if np.any(np.abs(p) >= 1):
+        raise PoleSetError("closed-loop poles must lie strictly inside the unit circle")
     return p
 
 
@@ -64,17 +75,12 @@ def _warn_if_large(n: int) -> None:
 
 @dataclass(frozen=True)
 class FeedbackGain:
-    """Row gain K (u = K x) with the closed-loop poles it was designed for."""
+    """Row gain K (u = K x)."""
 
     k: np.ndarray
-    designed_poles: Optional[np.ndarray] = None
 
     def __post_init__(self):
         object.__setattr__(self, "k", np.asarray(self.k, dtype=float).ravel())
-        if self.designed_poles is not None:
-            object.__setattr__(
-                self, "designed_poles", np.asarray(self.designed_poles, dtype=complex)
-            )
 
     @property
     def n(self) -> int:
@@ -107,38 +113,19 @@ class CostabBoundReport:
 
 
 def closed_loop_matrix_polynomial(a: np.ndarray, poles: np.ndarray) -> np.ndarray:
-    """prod_i (A - p_i I), pairing conjugate poles so intermediates stay real."""
+    """prod_i (A - p_i I) for a conjugate-closed pole set, whose product is
+    real up to rounding."""
     n = a.shape[0]
-    result = np.eye(n)
-    reals = []
-    complexes = []
+    result = np.eye(n, dtype=complex)
     for p in poles:
-        if abs(p.imag) <= _CONJUGATE_TOL * max(1.0, abs(p)):
-            reals.append(p.real)
-        else:
-            complexes.append(p)
-    for p in reals:
         result = result @ (a - p * np.eye(n))
-    used = [False] * len(complexes)
-    for i, p in enumerate(complexes):
-        if used[i]:
-            continue
-        used[i] = True
-        for j in range(i + 1, len(complexes)):
-            if not used[j] and abs(complexes[j] - np.conj(p)) <= _CONJUGATE_TOL * max(1.0, abs(p)):
-                used[j] = True
-                break
-        quadratic = a @ a - 2 * p.real * a + (abs(p) ** 2) * np.eye(n)
-        result = result @ quadratic
-    return result
+    return result.real
 
 
 def ackermann_gain(sys: LtiSystem, poles: Sequence[complex]) -> FeedbackGain:
     """Unique state feedback placing the closed-loop poles, via
     K = -e_n' Ctr^-1 Delta_cl(A) with the inverse row obtained from a solve."""
-    p = _validate_conjugate_closed(poles)
-    if p.size != sys.n:
-        raise PoleSetError(f"need {sys.n} poles, got {p.size}")
+    p = _validate_conjugate_closed(poles, sys.n)
     _warn_if_large(sys.n)
     ctr = controllability_matrix(sys)
     condition = np.linalg.cond(ctr)
@@ -150,16 +137,12 @@ def ackermann_gain(sys: LtiSystem, poles: Sequence[complex]) -> FeedbackGain:
     e_n[-1] = 1.0
     last_row = np.linalg.solve(ctr.T, e_n)
     k = -(last_row @ closed_loop_matrix_polynomial(sys.a, p))
-    return FeedbackGain(k=k, designed_poles=p)
+    return FeedbackGain(k=k)
 
 
 def k1_closed_form(params: HardFamilyParams, poles: Sequence[complex]) -> float:
     """First gain element -prod_i (r - p_i) / v^n for the b1 = 0 family."""
-    p = _validate_conjugate_closed(poles)
-    if p.size != params.n:
-        raise PoleSetError(f"need {params.n} poles, got {p.size}")
-    if np.any(np.abs(p) >= 1):
-        raise PoleSetError("closed-loop poles must lie strictly inside the unit circle")
+    p = _stable_poles(poles, params.n)
     _warn_if_large(params.n)
     product = complex(np.prod(params.r - p))
     return -product.real / params.v**params.n
@@ -209,15 +192,11 @@ def jury_necessary(p: np.ndarray) -> JuryReport:
 def costab_bound(params: HardFamilyParams, poles: Sequence[complex]) -> CostabBoundReport:
     """Perturbation ceiling v^n prod (1 + p_i)/(r - p_i) for the given stable
     closed-loop poles, with its supremum (2v/(r-1))^n over all stable sets."""
-    p = _validate_conjugate_closed(poles)
-    if p.size != params.n:
-        raise PoleSetError(f"need {params.n} poles, got {p.size}")
-    if np.any(np.abs(p) >= 1):
-        raise PoleSetError("closed-loop poles must lie strictly inside the unit circle")
-    r, v, n = params.r, params.v, params.n
-    bound = complex(np.prod((1 + p) / (r - p))) * v**n
-    sup_bound = (2 * v / (r - 1)) ** n
-    return CostabBoundReport(bound=bound.real, sup_bound=sup_bound, theorem_m=2 * sup_bound)
+    p = _stable_poles(poles, params.n)
+    bound = complex(np.prod((1 + p) / (params.r - p))) * params.v**params.n
+    return CostabBoundReport(
+        bound=bound.real, sup_bound=params.sup_bound, theorem_m=params.theorem_m
+    )
 
 
 def is_stabilizing(sys: LtiSystem, gain: FeedbackGain) -> StabilityReport:
@@ -228,12 +207,7 @@ def is_stabilizing(sys: LtiSystem, gain: FeedbackGain) -> StabilityReport:
     return StabilityReport(stable=rho < 1.0, spectral_radius=rho)
 
 
-def ce_lqr_gain(
-    params: HardFamilyParams,
-    b1_hat: float,
-    q: Optional[np.ndarray] = None,
-    r_cost: float = 1.0,
-) -> FeedbackGain:
+def ce_lqr_gain(params: HardFamilyParams, b1_hat: float) -> FeedbackGain:
     """Certainty-equivalent LQR gain for (A, B(b1_hat)) with Q = I, R = 1.
 
     The Riccati solve uses a scale-aware residual tolerance because the cost
@@ -242,12 +216,10 @@ def ce_lqr_gain(
     """
     a, b = hard_matrices(params.n, params.r, params.v, b1_hat)
     _warn_if_large(params.n)
-    if q is None:
-        q = np.eye(params.n)
     solution = solve_dare(
-        a, b, q, np.array([[r_cost]]), tolerance=1e-9, rel_tolerance=1e-8
+        a, b, np.eye(params.n), np.array([[1.0]]), tolerance=1e-9, rel_tolerance=1e-8
     )
-    return FeedbackGain(k=solution.gain.ravel(), designed_poles=None)
+    return FeedbackGain(k=solution.gain.ravel())
 
 
 def recovered_poles(params: HardFamilyParams, gain: FeedbackGain) -> np.ndarray:

@@ -83,6 +83,18 @@ class HardFamilyParams:
         if self.b1 < 0:
             raise ParameterError(f"b1 must be nonnegative, got {self.b1}")
 
+    @property
+    def sup_bound(self) -> float:
+        """Co-stabilizability ceiling (2v/(r-1))^n: the supremum over stable
+        pole sets of the perturbation one gain can absorb."""
+        return (2 * self.v / (self.r - 1)) ** self.n
+
+    @property
+    def theorem_m(self) -> float:
+        """Twice the ceiling: at this perturbation no common stabilizing
+        gain exists."""
+        return 2 * self.sup_bound
+
 
 def hard_matrices(n: int, r: float, v: float, b1: float) -> tuple[np.ndarray, np.ndarray]:
     """Raw (A, B) of the family; does not enforce the parameter range."""
@@ -251,33 +263,32 @@ def simulate(sys: LtiSystem, policy: InputPolicy, horizon: int, rng: Prng) -> Tr
     gen = rng.generator
 
     states = np.zeros((horizon + 1, n))
-
-    if policy.kind == "custom":
+    custom = policy.kind == "custom"
+    if custom:
         if policy.history_map is None:
             raise ValueError("custom policy requires a history map")
         inputs = np.zeros(horizon)
-        residuals = np.zeros(horizon)
-        x = states[0]
-        for t in range(horizon):
-            u = float(policy.history_map(t, inputs[:t], states[: t + 1], gen))
-            w = sigma_w * gen.standard_normal(n)
-            x = sys.a @ x + b_col * u + w
-            if np.max(np.abs(x)) > DIVERGENCE_LIMIT:
-                raise DivergedTrajectoryError(t + 1)
-            inputs[t] = u
-            states[t + 1] = x
-            residuals[t] = b1 * u + w[0]
+        first_noise = np.zeros(horizon)
     else:
         inputs, draws = policy.open_loop((gen,), 1, horizon, n)
         inputs, noise = inputs[0], sigma_w * draws[0]
-        x = states[0]
-        for t in range(horizon):
-            x = sys.a @ x + b_col * inputs[t] + noise[t]
-            if np.max(np.abs(x)) > DIVERGENCE_LIMIT:
-                raise DivergedTrajectoryError(t + 1)
-            states[t + 1] = x
-        residuals = b1 * inputs + noise[:, 0]
+        first_noise = noise[:, 0]
 
+    x = states[0]
+    for t in range(horizon):
+        if custom:
+            # the input may depend on the history, so it is drawn step by step
+            u = inputs[t] = float(policy.history_map(t, inputs[:t], states[: t + 1], gen))
+            w = sigma_w * gen.standard_normal(n)
+            first_noise[t] = w[0]
+        else:
+            u, w = inputs[t], noise[t]
+        x = sys.a @ x + b_col * u + w
+        if np.max(np.abs(x)) > DIVERGENCE_LIMIT:
+            raise DivergedTrajectoryError(t + 1)
+        states[t + 1] = x
+
+    residuals = b1 * inputs + first_noise
     return Trajectory(
         inputs=inputs,
         states=states,

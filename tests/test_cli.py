@@ -1,8 +1,11 @@
 import re
 
+import numpy as np
 import pytest
 
+from hardstab import cli
 from hardstab.cli import main, read_config
+from hardstab.lmi import BisectionError
 from hardstab.plotting import NamedColumnError, render_plot
 
 
@@ -93,6 +96,41 @@ class TestSubcommands:
         bad.write_text("not a key value line\n")
         with pytest.raises(ValueError):
             read_config(bad)
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["birge", "--n", "2", "--sigma-u2", "nan"], "sigma_u2 and sigma_w2 must be positive"),
+            (["pair", "--n", "1"], "dimension must be >= 2, got 1"),
+            (["exp-ce-lqr", "--threshold", "0"], "success threshold must lie in (0, 1]"),
+        ],
+    )
+    def test_rejected_value_exits_with_usage_message(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"hardstab: error: {message}" in capsys.readouterr().err
+
+    def test_config_line_without_equals_exits_with_usage_message(self, capsys, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_text("n 3\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--config", str(config), "pair"])
+        assert exit_info.value.code == 2
+        assert "hardstab: error: config line is not 'key = value'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fault", [BisectionError("non-monotone"), np.linalg.LinAlgError("singular")]
+    )
+    def test_numerical_fault_keeps_its_traceback(self, monkeypatch, fault):
+        def failing(params, tolerance):
+            raise fault
+
+        monkeypatch.setattr(cli.lmi, "bisect_largest_m", failing)
+        with pytest.raises(type(fault)):
+            main(["lmi-bisect", "--n", "2"])
 
 
 class TestPlot:

@@ -89,6 +89,21 @@ class TestStabilityInterval:
         assert not decide(np.nextafter(lower, -np.inf))
         assert not decide(np.nextafter(upper, np.inf))
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_dense_scan_decides_by_interval_membership(self, n):
+        # the search counts interval membership, which is only sound if the
+        # stable estimates form one interval; rounding may flip decisions
+        # within a few ulps of an edge, so those points are not judged
+        decide = experiments._CeDecision(HardFamilyParams(n=n, r=3.2, v=1.01), 0.0)
+        lower, upper = experiments._stability_interval(decide, scale=1e-6)
+        width = upper - lower
+        scan = np.linspace(lower - width / 2, upper + width / 2, 801)
+        decided = np.array([decide(float(b1_hat)) for b1_hat in scan])
+        judged = np.minimum(np.abs(scan - lower), np.abs(scan - upper)) > 1e-9 * width
+        np.testing.assert_array_equal(
+            decided[judged], ((scan > lower) & (scan < upper))[judged]
+        )
+
 
 class TestRunCeLqr:
     def test_small_dimensions(self):

@@ -308,6 +308,20 @@ class TestCeLqrGain:
         assert is_stabilizing(truth, gain).stable
 
 
+class TestCeLqrRiccatiOracle:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_gain_matches_scipy(self, n):
+        pytest.importorskip("scipy")
+        from scipy.linalg import solve_discrete_are
+
+        params = HardFamilyParams(n=n, r=3.2, v=1.01)
+        for b1_hat in (0.0, 1e-3, 0.05, -0.02):
+            a, b = hard_matrices(n, 3.2, 1.01, b1_hat)
+            p = solve_discrete_are(a, b, np.eye(n), np.eye(1))
+            oracle = -np.linalg.solve(np.eye(1) + b.T @ p @ b, b.T @ p @ a).ravel()
+            np.testing.assert_allclose(ce_lqr_gain(params, b1_hat).k, oracle, rtol=1e-6)
+
+
 class TestConditioningWarning:
     def test_large_dimension_warns(self):
         params = HardFamilyParams(n=13, r=3.2, v=1.01)

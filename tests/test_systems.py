@@ -140,6 +140,17 @@ class TestSimulate:
         traj = simulate(pair.s1, policy, 4, Prng(0))
         np.testing.assert_array_equal(traj.inputs, [0.0, 1.0, 2.0, 3.0])
 
+    def test_custom_gaussian_policy_matches_iid_stream_layout(self):
+        # both policy paths read the stream as input draw, then n noise draws
+        sys_ = LtiSystem(*hard_matrices(3, 3.2, 1.01, 0.02), noise_variance=0.005)
+        sigma_u2 = 32.0
+        drawn = InputPolicy.custom(lambda t, u, x, gen: np.sqrt(sigma_u2) * gen.standard_normal())
+        custom = simulate(sys_, drawn, 30, Prng(5, 1))
+        iid = simulate(sys_, InputPolicy.iid_gaussian(sigma_u2), 30, Prng(5, 1))
+        np.testing.assert_array_equal(custom.inputs, iid.inputs)
+        np.testing.assert_array_equal(custom.states, iid.states)
+        np.testing.assert_array_equal(custom.first_coord_residuals, iid.first_coord_residuals)
+
 
 class TestInputPolicy:
     def test_open_loop_stream_layout(self):
