@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import Prng
-from .systems import HardFamilyParams, HardPair, InputPolicy, simulate
+from .systems import CSV_FLOAT, HardFamilyParams, HardPair, InputPolicy, simulate
 
 
 class DegenerateNoiseError(ValueError):
@@ -40,12 +40,12 @@ class KlReport:
     def csv_row(self) -> str:
         fields = [
             str(self.horizon),
-            "%.17g" % self.m,
-            "%.17g" % self.sigma_u2,
-            "%.17g" % self.sigma_w2,
-            "%.17g" % self.analytic_bound,
-            "%.17g" % self.mc_estimate,
-            "%.17g" % self.mc_std_error,
+            CSV_FLOAT % self.m,
+            CSV_FLOAT % self.sigma_u2,
+            CSV_FLOAT % self.sigma_w2,
+            CSV_FLOAT % self.analytic_bound,
+            CSV_FLOAT % self.mc_estimate,
+            CSV_FLOAT % self.mc_std_error,
             str(self.trials),
             str(self.seed),
         ]
@@ -182,6 +182,6 @@ def birge_min_samples(spec: BirgeSpec) -> BirgeBound:
         spec.sigma_w2
         / (2.0 * spec.sigma_u2)
         * ratio ** (2 * params.n)
-        * math.log(1.0 / (3.0 * spec.delta))
+        * birge_kl_threshold(spec.delta).relaxed
     )
     return BirgeBound(min_samples=min_samples, theorem_m=params.theorem_m)

@@ -8,26 +8,30 @@ supplies defaults; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
 from . import bounds, experiments, lmi, plotting, synthesis, systems
+from .experiments import CeLqrConfig
 from .numerics import Prng
 
 DEFAULT_SEED = 20240814
 
 
-def _parse_complex_list(text: str) -> np.ndarray:
-    return np.array([complex(part.strip().replace(" ", "")) for part in text.split(",")])
+def _list_type(name: str, item):
+    """argparse type for a comma-separated list of ``item`` values; the usage
+    error for a malformed list names the flag and ``name``."""
+    def parse(text: str) -> tuple:
+        return tuple(item(part) for part in text.split(","))
+    parse.__name__ = name
+    return parse
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",")]
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",")]
+_int_list = _list_type("integer list", int)
+_float_list = _list_type("float list", float)
+_complex_list = _list_type("complex list", lambda part: complex(part.replace(" ", "")))
 
 
 def _format_matrix(name: str, matrix: np.ndarray) -> str:
@@ -49,20 +53,30 @@ def read_config(path) -> dict[str, str]:
     return values
 
 
+def _add_rv_flags(parser):
+    parser.add_argument("--r", type=float, default=CeLqrConfig.r, help="unstable entry of A")
+    parser.add_argument("--v", type=float, default=CeLqrConfig.v, help="superdiagonal entry of A")
+
+
+def _add_noise_flags(parser):
+    parser.add_argument("--sigma-u2", type=float, default=CeLqrConfig.sigma_u2)
+    parser.add_argument("--sigma-w2", type=float, default=CeLqrConfig.sigma_w2)
+
+
 def _add_family_flags(parser, include_m=False, include_b1=False):
     parser.add_argument("--n", type=int, default=2, help="system dimension")
-    parser.add_argument("--r", type=float, default=3.2, help="unstable entry of A")
-    parser.add_argument("--v", type=float, default=1.01, help="superdiagonal entry of A")
+    _add_rv_flags(parser)
     if include_m:
         parser.add_argument("--m", type=float, default=0.1, help="first input coefficient of the sibling")
     if include_b1:
-        parser.add_argument("--b1", type=float, default=0.0, help="first input coefficient")
+        parser.add_argument("--b1", type=float, default=systems.HardFamilyParams.b1, help="first input coefficient")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hardstab",
         description="Numerical laboratory for hard-to-stabilize linear system families",
+        allow_abbrev=False,
     )
     parser.add_argument("--config", default=None, help="key = value defaults file")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -72,8 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate a trajectory and write CSV")
     _add_family_flags(p, include_b1=True)
-    p.add_argument("--sigma-u2", type=float, default=32.0)
-    p.add_argument("--sigma-w2", type=float, default=0.005)
+    _add_noise_flags(p)
     p.add_argument("--horizon", type=int, default=100)
     p.add_argument("--policy", choices=["iid-gaussian", "zero", "impulse"], default="iid-gaussian")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -82,57 +95,54 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ackermann", help="pole-placement gain for the family")
     _add_family_flags(p, include_b1=True)
-    p.add_argument("--poles", required=True, help="comma-separated closed-loop poles")
+    p.add_argument("--poles", type=_complex_list, required=True, help="comma-separated closed-loop poles")
 
     p = sub.add_parser("jury", help="Jury necessary conditions for a polynomial")
-    p.add_argument("--coeffs", required=True, help="ascending coefficients c0,c1,...")
+    p.add_argument("--coeffs", type=_float_list, required=True, help="ascending coefficients c0,c1,...")
 
     p = sub.add_parser("costab-bound", help="pole-specific co-stabilizability ceiling")
     _add_family_flags(p)
-    p.add_argument("--poles", required=True, help="comma-separated closed-loop poles")
+    p.add_argument("--poles", type=_complex_list, required=True, help="comma-separated closed-loop poles")
 
     p = sub.add_parser("kl-bound", help="analytic trajectory KL upper bound")
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--m", type=float, required=True)
-    p.add_argument("--sigma-u2", type=float, default=32.0)
-    p.add_argument("--sigma-w2", type=float, default=0.005)
+    _add_noise_flags(p)
 
     p = sub.add_parser("kl-mc", help="Monte-Carlo trajectory KL estimate")
     _add_family_flags(p, include_m=True)
-    p.add_argument("--sigma-u2", type=float, default=32.0)
-    p.add_argument("--sigma-w2", type=float, default=0.005)
+    _add_noise_flags(p)
     p.add_argument("--horizon", type=int, default=50)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=int, default=CeLqrConfig.trials)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None, help="append-style CSV path")
 
     p = sub.add_parser("birge", help="sample-complexity lower bound")
     _add_family_flags(p)
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--sigma-u2", type=float, default=32.0)
-    p.add_argument("--sigma-w2", type=float, default=0.005)
+    _add_noise_flags(p)
 
     p = sub.add_parser("lmi-bisect", help="largest co-stabilizable perturbation")
     _add_family_flags(p)
-    p.add_argument("--tolerance", type=float, default=1e-3)
+    p.add_argument("--tolerance", type=float, default=lmi.BISECTION_TOLERANCE)
 
     p = sub.add_parser("exp-ce-lqr", help="minimum-sample search experiment")
-    p.add_argument("--n-values", type=str, default="2,3,4,5,6,7,8")
-    p.add_argument("--r", type=float, default=3.2)
-    p.add_argument("--v", type=float, default=1.01)
-    p.add_argument("--true-b1", type=float, default=0.0)
-    p.add_argument("--sigma-u2", type=float, default=32.0)
-    p.add_argument("--sigma-w2", type=float, default=0.005)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--threshold", type=float, default=0.9)
+    p.add_argument("--n-values", type=_int_list, default=CeLqrConfig.n_values)
+    _add_rv_flags(p)
+    p.add_argument("--true-b1", type=float, default=CeLqrConfig.true_b1)
+    _add_noise_flags(p)
+    p.add_argument("--trials", type=int, default=CeLqrConfig.trials)
+    p.add_argument(
+        "--threshold", dest="success_threshold", metavar="THRESHOLD",
+        type=float, default=CeLqrConfig.success_threshold,
+    )
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None, help="result CSV path")
 
     p = sub.add_parser("exp-lmi-sweep", help="co-stabilizability sweep over dimensions")
-    p.add_argument("--n-values", type=str, default="2,3,4,5,6,7,8,9,10")
-    p.add_argument("--r", type=float, default=3.2)
-    p.add_argument("--v", type=float, default=1.01)
-    p.add_argument("--tolerance", type=float, default=1e-3)
+    p.add_argument("--n-values", type=_int_list, default="2,3,4,5,6,7,8,9,10")
+    _add_rv_flags(p)
+    p.add_argument("--tolerance", type=float, default=lmi.BISECTION_TOLERANCE)
     p.add_argument("--out", default=None, help="result CSV path")
 
     p = sub.add_parser("plot", help="render an SVG line chart from a CSV")
@@ -146,13 +156,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     """Inject config-file values as flags right after the subcommand so that
-    explicit flags, parsed later, win."""
-    if "--config" not in argv:
+    explicit flags, parsed later, win.  ``--config PATH`` and
+    ``--config=PATH`` are found by argparse, anywhere in ``argv``."""
+    finder = argparse.ArgumentParser(prog="hardstab", add_help=False, allow_abbrev=False)
+    finder.add_argument("--config")
+    found, rest = finder.parse_known_args(argv)
+    if found.config is None:
         return argv
-    idx = argv.index("--config")
-    config_path = argv[idx + 1]
-    values = read_config(config_path)
-    rest = argv[:idx] + argv[idx + 2 :]
+    try:
+        values = read_config(found.config)
+    except OSError as error:
+        parser.error(str(error))
     if not rest:
         return rest
     command = rest[0]
@@ -162,11 +176,8 @@ def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]
     known = set()
     if sub_actions and command in sub_actions[0].choices:
         known = set(sub_actions[0].choices[command]._option_string_actions)
-    injected = []
-    for key, value in values.items():
-        flag = f"--{key}"
-        if flag in known:
-            injected.extend([flag, value])
+    # --flag=value keeps a value that starts with "-" from reading as a flag
+    injected = [f"--{key}={value}" for key, value in values.items() if f"--{key}" in known]
     return [command] + injected + rest[1:]
 
 
@@ -186,10 +197,21 @@ def main(argv=None) -> int:
     return 0
 
 
+def _params(args: argparse.Namespace) -> systems.HardFamilyParams:
+    return systems.HardFamilyParams(n=args.n, r=args.r, v=args.v)
+
+
+def _emit(lines: list[str], out) -> None:
+    """Print a CSV table and, given a path, write it there as well."""
+    print(*lines, sep="\n")
+    if out:
+        experiments.write_csv_lines(out, lines)
+        print(f"wrote {out}")
+
+
 def _run(args: argparse.Namespace) -> None:
     if args.command == "pair":
-        params = systems.HardFamilyParams(n=args.n, r=args.r, v=args.v)
-        pair = systems.make_hard_pair(params, args.m)
+        pair = systems.make_hard_pair(_params(args), args.m)
         print(_format_matrix("A", pair.s1.a))
         print(_format_matrix("B1", pair.s1.b.ravel()))
         print(_format_matrix("B2", pair.s2.b.ravel()))
@@ -213,24 +235,21 @@ def _run(args: argparse.Namespace) -> None:
 
     elif args.command == "ackermann":
         sys_ = systems.LtiSystem(*systems.hard_matrices(args.n, args.r, args.v, args.b1))
-        poles = _parse_complex_list(args.poles)
-        gain = synthesis.ackermann_gain(sys_, poles)
+        gain = synthesis.ackermann_gain(sys_, args.poles)
         print(f"K = {gain.k}")
         report = synthesis.is_stabilizing(sys_, gain)
         print(f"closed-loop spectral radius = {report.spectral_radius:.12g}")
         if args.b1 == 0.0:
-            params = systems.HardFamilyParams(n=args.n, r=args.r, v=args.v)
-            print(f"k1 closed form = {synthesis.k1_closed_form(params, poles):.12g}")
+            print(f"k1 closed form = {synthesis.k1_closed_form(_params(args), args.poles):.12g}")
 
     elif args.command == "jury":
-        report = synthesis.jury_necessary(np.array(_parse_float_list(args.coeffs)))
+        report = synthesis.jury_necessary(args.coeffs)
         print(f"Delta(1) = {report.at_one:.12g}")
         print(f"(-1)^n Delta(-1) = {report.signed_at_minus_one:.12g}")
         print("pass" if report.passed else "fail")
 
     elif args.command == "costab-bound":
-        params = systems.HardFamilyParams(n=args.n, r=args.r, v=args.v)
-        report = synthesis.costab_bound(params, _parse_complex_list(args.poles))
+        report = synthesis.costab_bound(_params(args), args.poles)
         print(f"bound = {report.bound:.12g}")
         print(f"sup_bound = {report.sup_bound:.12g}")
         print(f"theorem_m = {report.theorem_m:.12g}")
@@ -240,8 +259,7 @@ def _run(args: argparse.Namespace) -> None:
         print(f"analytic bound = {value:.12g} nats")
 
     elif args.command == "kl-mc":
-        params = systems.HardFamilyParams(n=args.n, r=args.r, v=args.v)
-        pair = systems.make_hard_pair(params, args.m, noise_variance=args.sigma_w2)
+        pair = systems.make_hard_pair(_params(args), args.m, noise_variance=args.sigma_w2)
         policy = systems.InputPolicy.iid_gaussian(args.sigma_u2)
         report = bounds.kl_monte_carlo(
             pair, policy, args.horizon, args.trials, Prng(args.seed)
@@ -253,9 +271,8 @@ def _run(args: argparse.Namespace) -> None:
             print(f"wrote {args.out}")
 
     elif args.command == "birge":
-        params = systems.HardFamilyParams(n=args.n, r=args.r, v=args.v)
         spec = bounds.BirgeSpec(
-            delta=args.delta, params=params, sigma_u2=args.sigma_u2, sigma_w2=args.sigma_w2
+            delta=args.delta, params=_params(args), sigma_u2=args.sigma_u2, sigma_w2=args.sigma_w2
         )
         threshold = bounds.birge_kl_threshold(args.delta)
         bound = bounds.birge_min_samples(spec)
@@ -265,8 +282,7 @@ def _run(args: argparse.Namespace) -> None:
         print(f"theorem m            = {bound.theorem_m:.12g}")
 
     elif args.command == "lmi-bisect":
-        params = systems.HardFamilyParams(n=args.n, r=args.r, v=args.v)
-        result = lmi.bisect_largest_m(params, tolerance=args.tolerance)
+        result = lmi.bisect_largest_m(_params(args), tolerance=args.tolerance)
         print(f"largest feasible m = {result.largest_feasible_m:.12g}")
         print(f"bracket = [{result.bracket[0]:.12g}, {result.bracket[1]:.12g}]")
         print(f"sup bound = {result.sup_bound:.12g}, theorem m = {result.theorem_m:.12g}")
@@ -275,34 +291,13 @@ def _run(args: argparse.Namespace) -> None:
             print(f"certificate margin = {result.certificate.margin:.6g}")
 
     elif args.command == "exp-ce-lqr":
-        config = experiments.CeLqrConfig(
-            n_values=tuple(_parse_int_list(args.n_values)),
-            r=args.r,
-            v=args.v,
-            true_b1=args.true_b1,
-            sigma_u2=args.sigma_u2,
-            sigma_w2=args.sigma_w2,
-            trials=args.trials,
-            success_threshold=args.threshold,
-            seed=args.seed,
-        )
-        result = experiments.run_ce_lqr(config)
-        for line in result.csv_lines():
-            print(line)
-        if args.out:
-            experiments.write_csv_lines(args.out, result.csv_lines())
-            print(f"wrote {args.out}")
+        fields = {field.name for field in dataclasses.fields(CeLqrConfig)}
+        config = CeLqrConfig(**{key: value for key, value in vars(args).items() if key in fields})
+        _emit(experiments.run_ce_lqr(config).csv_lines(), args.out)
 
     elif args.command == "exp-lmi-sweep":
-        rows = experiments.run_lmi_sweep(
-            _parse_int_list(args.n_values), args.r, args.v, args.tolerance
-        )
-        lines = experiments.lmi_sweep_csv_lines(rows)
-        for line in lines:
-            print(line)
-        if args.out:
-            experiments.write_csv_lines(args.out, lines)
-            print(f"wrote {args.out}")
+        rows = experiments.run_lmi_sweep(args.n_values, args.r, args.v, args.tolerance)
+        _emit(experiments.lmi_sweep_csv_lines(rows), args.out)
 
     elif args.command == "plot":
         path = plotting.render_plot(args.csv, args.x, args.y, args.svg)

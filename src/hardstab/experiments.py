@@ -21,12 +21,10 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .lmi import bisect_largest_m
+from .lmi import BISECTION_TOLERANCE, bisect_largest_m
 from .numerics import DareError, Prng
 from .synthesis import ce_lqr_gain, is_stabilizing
-from .systems import HardFamilyParams, InputPolicy, LtiSystem, hard_matrices
-
-CSV_FLOAT = "%.17g"
+from .systems import CSV_FLOAT, HardFamilyParams, InputPolicy, hard_system
 
 
 @dataclass(frozen=True)
@@ -99,10 +97,9 @@ class _CeDecision:
     """Stabilization decision of the certainty-equivalent gain as a function
     of the estimate, with failure accounting."""
 
-    def __init__(self, params: HardFamilyParams, true_b1: float):
+    def __init__(self, params: HardFamilyParams):
         self.params = params
-        a, b_true = hard_matrices(params.n, params.r, params.v, true_b1)
-        self.true_system = LtiSystem(a=a, b=b_true)
+        self.true_system = hard_system(params)
         self.failures = 0
 
     def __call__(self, b1_hat: float) -> bool:
@@ -213,7 +210,7 @@ def _run_ce_lqr_single(config: CeLqrConfig, n: int) -> CeLqrRow:
     """
     t0 = time.perf_counter()
     params = HardFamilyParams(n=n, r=config.r, v=config.v, b1=config.true_b1)
-    decide = _CeDecision(params, config.true_b1)
+    decide = _CeDecision(params)
     lower, upper = _stability_interval(decide, scale=1e-6)
     decide.failures = 0  # count trial decisions only, not boundary probes
 
@@ -298,7 +295,7 @@ class LmiSweepRow:
 
 
 def run_lmi_sweep(
-    n_values: Sequence[int], r: float, v: float, tolerance: float = 1e-3
+    n_values: Sequence[int], r: float, v: float, tolerance: float = BISECTION_TOLERANCE
 ) -> list[LmiSweepRow]:
     rows = []
     for n in n_values:

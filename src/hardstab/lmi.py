@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from .numerics import spectral_radius
 from .synthesis import FeedbackGain
 from .systems import HardFamilyParams, HardPair, make_hard_pair
 
@@ -34,6 +35,8 @@ _MAX_NEWTON = 60
 # after this many levels in a row without a new best margin ("infeasible")
 _MAX_LEVELS = 400
 _STALL_LIMIT = 50
+# Relative bracket width at which bisect_largest_m stops
+BISECTION_TOLERANCE = 1e-3
 
 
 class BisectionError(RuntimeError):
@@ -163,7 +166,7 @@ def _verify_certificate(
         closed = problem.a + b @ k_row
         decrement = closed.T @ p @ closed - p
         lyapunov.append(-float(np.linalg.eigvalsh(decrement)[-1]))
-        radii.append(float(np.max(np.abs(np.linalg.eigvals(closed)))))
+        radii.append(spectral_radius(closed))
     if min(lyapunov) < tolerance / 2 or max(radii) >= 1.0:
         return None
     return LmiCertificate(
@@ -405,7 +408,9 @@ def check_feasible(
     return InfeasibleReport(best_margin=best_margin, status="inconclusive")
 
 
-def bisect_largest_m(params: HardFamilyParams, tolerance: float = 1e-3) -> BisectionResult:
+def bisect_largest_m(
+    params: HardFamilyParams, tolerance: float = BISECTION_TOLERANCE
+) -> BisectionResult:
     """Largest perturbation for which the pair problem stays feasible.
 
     The bracket starts at [0, params.theorem_m]; the upper end cannot admit a

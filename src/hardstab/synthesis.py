@@ -12,6 +12,7 @@ import numpy as np
 
 from .numerics import (
     CONDITIONING_DIMENSION,
+    poly_eval,
     poly_roots,
     poly_trim,
     solve_dare,
@@ -180,8 +181,8 @@ def jury_necessary(p: np.ndarray) -> JuryReport:
     if coeffs[-1] <= 0:
         raise ValueError("leading coefficient must be positive; normalize first")
     n = coeffs.size - 1
-    at_one = float(np.polyval(coeffs[::-1], 1.0))
-    signed_at_minus_one = float((-1) ** n * np.polyval(coeffs[::-1], -1.0))
+    at_one = float(poly_eval(coeffs, 1.0))
+    signed_at_minus_one = float((-1) ** n * poly_eval(coeffs, -1.0))
     return JuryReport(
         passed=at_one > 0 and signed_at_minus_one > 0,
         at_one=at_one,

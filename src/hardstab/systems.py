@@ -315,7 +315,8 @@ def ls_estimate_b1(traj: Trajectory, params: HardFamilyParams) -> float:
     return float(u @ res) / denominator
 
 
-TRAJECTORY_CSV_FLOAT = "%.17g"
+# Every CSV float: 17 significant digits, enough to round-trip a float64
+CSV_FLOAT = "%.17g"
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -325,9 +326,9 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["t", "u"] + [f"x{i + 1}" for i in range(n)])
         for t in range(traj.states.shape[0]):
-            u_field = TRAJECTORY_CSV_FLOAT % traj.inputs[t] if t < traj.horizon else ""
+            u_field = CSV_FLOAT % traj.inputs[t] if t < traj.horizon else ""
             writer.writerow(
-                [t, u_field] + [TRAJECTORY_CSV_FLOAT % value for value in traj.states[t]]
+                [t, u_field] + [CSV_FLOAT % value for value in traj.states[t]]
             )
 
 

@@ -1,4 +1,6 @@
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +93,19 @@ class TestSubcommands:
         )
         assert "[[3.2  1.01]" in out_override
 
+    @pytest.mark.parametrize("config_first", [True, False])
+    def test_config_equals_form_applies_the_file(self, capsys, tmp_path, config_first):
+        config = tmp_path / "lab.cfg"
+        config.write_text("n = 3\n")
+        flag = f"--config={config}"
+        out = run_cli(capsys, *([flag, "pair"] if config_first else ["pair", flag]))
+        assert "[[3.2  1.01 0.  ]" in out
+
+    def test_config_value_may_start_with_a_minus(self, capsys, tmp_path):
+        config = tmp_path / "jury.cfg"
+        config.write_text("coeffs = -0.5,0,1\n")
+        assert "pass" in run_cli(capsys, "--config", str(config), "jury")
+
     def test_read_config_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("not a key value line\n")
@@ -105,6 +120,9 @@ class TestUsageErrors:
             (["birge", "--n", "2", "--sigma-u2", "nan"], "sigma_u2 and sigma_w2 must be positive"),
             (["pair", "--n", "1"], "dimension must be >= 2, got 1"),
             (["exp-ce-lqr", "--threshold", "0"], "success threshold must lie in (0, 1]"),
+            (["--config"], "argument --config: expected one argument"),
+            (["pair", "--config"], "argument --config: expected one argument"),
+            (["--conf", "lab.cfg", "pair"], "argument command: invalid choice: 'lab.cfg'"),
         ],
     )
     def test_rejected_value_exits_with_usage_message(self, capsys, argv, message):
@@ -112,6 +130,33 @@ class TestUsageErrors:
             main(argv)
         assert exit_info.value.code == 2
         assert f"hardstab: error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["exp-lmi-sweep", "--n-values", "2,x"],
+                "argument --n-values: invalid integer list value: '2,x'",
+            ),
+            (
+                ["ackermann", "--n", "2", "--poles", "0,q"],
+                "argument --poles: invalid complex list value: '0,q'",
+            ),
+        ],
+    )
+    def test_malformed_list_names_its_flag(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"hardstab {argv[0]}: error: {message}" in capsys.readouterr().err
+
+    def test_unreadable_config_exits_with_usage_message(self, capsys, tmp_path):
+        missing = tmp_path / "missing.cfg"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--config", str(missing), "pair"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "hardstab: error:" in err and str(missing) in err
 
     def test_config_line_without_equals_exits_with_usage_message(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"
@@ -131,6 +176,23 @@ class TestUsageErrors:
         monkeypatch.setattr(cli.lmi, "bisect_largest_m", failing)
         with pytest.raises(type(fault)):
             main(["lmi-bisect", "--n", "2"])
+
+
+def test_readme_cli_examples_parse():
+    """Every ``hardstab ...`` line of README's CLI block parses with today's
+    flags, and the block shows every subcommand."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("hardstab ")
+    ]
+    parser = cli.build_parser()
+    for argv in examples:
+        parser.parse_args(argv)
+    subcommands = next(a for a in parser._actions if a.dest == "command").choices
+    assert {argv[0] for argv in examples} == set(subcommands)
 
 
 class TestPlot:

@@ -75,7 +75,7 @@ class TestStabilityInterval:
     def test_no_estimate_decided_twice(self):
         # each decision is a Riccati solve; the search must not repeat one,
         # and it stops at adjacent floats across each edge
-        decide = experiments._CeDecision(HardFamilyParams(n=4, r=3.2, v=1.01), 0.0)
+        decide = experiments._CeDecision(HardFamilyParams(n=4, r=3.2, v=1.01))
         decided = []
 
         def recording(b1_hat):
@@ -94,7 +94,7 @@ class TestStabilityInterval:
         # the search counts interval membership, which is only sound if the
         # stable estimates form one interval; rounding may flip decisions
         # within a few ulps of an edge, so those points are not judged
-        decide = experiments._CeDecision(HardFamilyParams(n=n, r=3.2, v=1.01), 0.0)
+        decide = experiments._CeDecision(HardFamilyParams(n=n, r=3.2, v=1.01))
         lower, upper = experiments._stability_interval(decide, scale=1e-6)
         width = upper - lower
         scan = np.linspace(lower - width / 2, upper + width / 2, 801)
