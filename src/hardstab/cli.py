@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -27,6 +28,23 @@ def _list_type(name: str, item):
         return tuple(item(part) for part in text.split(","))
     parse.__name__ = name
     return parse
+
+
+def _output_path(path: str) -> str:
+    """argparse type for a file a command writes, checked before any work: a
+    missing or unwritable directory, or a path that is a directory or an
+    unwritable file, is a usage error that names the flag."""
+    if not path:
+        raise argparse.ArgumentTypeError("empty path")
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"directory {directory!r} does not exist")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is a directory")
+    target = path if os.path.exists(path) else directory
+    if not os.access(target, os.W_OK):
+        raise argparse.ArgumentTypeError(f"cannot write {path!r}")
+    return path
 
 
 _int_list = _list_type("integer list", int)
@@ -91,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=["iid-gaussian", "zero", "impulse"], default="iid-gaussian")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--stream", type=int, default=0)
-    p.add_argument("--out", default=None, help="trajectory CSV path")
+    p.add_argument("--out", type=_output_path, default=None, help="trajectory CSV path")
 
     p = sub.add_parser("ackermann", help="pole-placement gain for the family")
     _add_family_flags(p, include_b1=True)
@@ -115,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=50)
     p.add_argument("--trials", type=int, default=CeLqrConfig.trials)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", default=None, help="append-style CSV path")
+    p.add_argument("--out", type=_output_path, default=None, help="append-style CSV path")
 
     p = sub.add_parser("birge", help="sample-complexity lower bound")
     _add_family_flags(p)
@@ -137,19 +155,19 @@ def build_parser() -> argparse.ArgumentParser:
         type=float, default=CeLqrConfig.success_threshold,
     )
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", default=None, help="result CSV path")
+    p.add_argument("--out", type=_output_path, default=None, help="result CSV path")
 
     p = sub.add_parser("exp-lmi-sweep", help="co-stabilizability sweep over dimensions")
     p.add_argument("--n-values", type=_int_list, default="2,3,4,5,6,7,8,9,10")
     _add_rv_flags(p)
     p.add_argument("--tolerance", type=float, default=lmi.BISECTION_TOLERANCE)
-    p.add_argument("--out", default=None, help="result CSV path")
+    p.add_argument("--out", type=_output_path, default=None, help="result CSV path")
 
     p = sub.add_parser("plot", help="render an SVG line chart from a CSV")
     p.add_argument("--csv", required=True)
     p.add_argument("--x", required=True, help="x column name")
     p.add_argument("--y", required=True, help="y column name")
-    p.add_argument("--svg", required=True, help="output SVG path")
+    p.add_argument("--svg", type=_output_path, required=True, help="output SVG path")
 
     return parser
 

@@ -273,7 +273,13 @@ class _BarrierState:
 
     def center(self, x: np.ndarray, level: float) -> np.ndarray:
         """Damped Newton minimization of the barrier at the given level,
-        staying on the trace(Q) = n plane."""
+        staying on the trace(Q) = n plane.
+
+        Ends when the Newton decrement is at most 2e-10; when the
+        backtracking line search fails, or its sufficient-decrease demand
+        0.01 * alpha * |slope| has fallen to the rounding floor
+        _EPS * |value| of the barrier value, so that only noise could pass
+        it; or after _MAX_NEWTON steps."""
         barrier = self._barrier_value(x, level)
         if barrier is None:
             raise ValueError("centering started outside the level set")
@@ -306,6 +312,8 @@ class _BarrierState:
             alpha = 1.0
             improved = False
             for _ in range(60):
+                if 0.01 * alpha * abs(slope) <= _EPS * abs(value):
+                    break
                 candidate = x + alpha * step
                 barrier = self._barrier_value(candidate, level)
                 if barrier is not None and barrier[0] <= value + 0.01 * alpha * slope:

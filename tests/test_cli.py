@@ -167,6 +167,47 @@ class TestUsageErrors:
         assert "hardstab: error: config line is not 'key = value'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--horizon", "2", "--out"],
+            ["kl-mc", "--trials", "10", "--out"],
+            ["exp-ce-lqr", "--n-values", "2", "--out"],
+            ["exp-lmi-sweep", "--n-values", "2", "--out"],
+            ["plot", "--csv", "data.csv", "--x", "n", "--y", "m", "--svg"],
+        ],
+    )
+    def test_output_in_missing_directory_fails_before_any_work(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        monkeypatch.setattr(cli, "_run", lambda args: pytest.fail("the command ran"))
+        missing = tmp_path / "missing"
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [str(missing / "table.csv")])
+        assert exit_info.value.code == 2
+        assert (
+            f"hardstab {argv[0]}: error: argument {argv[-1]}: "
+            f"directory {str(missing)!r} does not exist"
+        ) in capsys.readouterr().err
+
+    def test_output_path_that_is_a_directory_is_a_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--horizon", "2", "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert f"argument --out: {str(tmp_path)!r} is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_unwritable_output_is_a_usage_error(self, capsys, monkeypatch, tmp_path, exists):
+        path = tmp_path / "sweep.csv"
+        if exists:
+            path.write_text("kept\n")
+        monkeypatch.setattr(cli.os, "access", lambda target, mode: False)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["exp-lmi-sweep", "--n-values", "2", "--out", str(path)])
+        assert exit_info.value.code == 2
+        assert f"argument --out: cannot write {str(path)!r}" in capsys.readouterr().err
+        assert path.exists() == exists
+
+    @pytest.mark.parametrize(
         "fault", [BisectionError("non-monotone"), np.linalg.LinAlgError("singular")]
     )
     def test_numerical_fault_keeps_its_traceback(self, monkeypatch, fault):
@@ -178,9 +219,11 @@ class TestUsageErrors:
             main(["lmi-bisect", "--n", "2"])
 
 
-def test_readme_cli_examples_parse():
+def test_readme_cli_examples_parse(monkeypatch, tmp_path):
     """Every ``hardstab ...`` line of README's CLI block parses with today's
-    flags, and the block shows every subcommand."""
+    flags, and the block shows every subcommand.  Output paths are checked
+    at parse time, relative to a fresh working directory."""
+    monkeypatch.chdir(tmp_path)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     examples = [

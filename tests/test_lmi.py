@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hardstab.lmi import (
+    _BarrierState,
     bisect_largest_m,
     build_costab_lmi,
     check_feasible,
@@ -13,12 +14,29 @@ PARAMS2 = HardFamilyParams(n=2, r=3.2, v=1.01)
 
 
 @pytest.fixture(scope="module")
-def golden_bisections():
-    """The v = 1.01 sweep's bisections at n = 2 and n = 3, run once."""
-    return {
-        n: bisect_largest_m(HardFamilyParams(n=n, r=3.2, v=1.01), tolerance=1e-3)
-        for n in (2, 3)
-    }
+def golden_runs():
+    """The v = 1.01 sweep's bisections at n = 2, 3 and 4, run once, each with
+    the number of barrier evaluations it made."""
+    runs = {}
+    evaluations = [0]
+    barrier_value = _BarrierState._barrier_value
+
+    def counted(self, x, level):
+        evaluations[0] += 1
+        return barrier_value(self, x, level)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_BarrierState, "_barrier_value", counted)
+        for n in (2, 3, 4):
+            evaluations[0] = 0
+            result = bisect_largest_m(HardFamilyParams(n=n, r=3.2, v=1.01), tolerance=1e-3)
+            runs[n] = (result, evaluations[0])
+    return runs
+
+
+@pytest.fixture(scope="module")
+def golden_bisections(golden_runs):
+    return {n: result for n, (result, _) in golden_runs.items()}
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +163,27 @@ class TestBisection:
             [feasible, "infeasible-analytic"] + [infeasible] * 4 + [feasible] * 4
             + [infeasible] * 3 + [feasible] * 4
         )
+
+    def test_golden_v101_n4(self, golden_bisections):
+        # the benchmark's largest row, bit for bit
+        four = golden_bisections[4]
+        assert four.largest_feasible_m == 0.02884804989361597
+        assert four.iterations == 16
+        assert not four.conservative
+        feasible, infeasible = "feasible", "infeasible"
+        assert [status for _, status in four.trace] == (
+            [feasible, "infeasible-analytic"] + [infeasible] * 5
+            + [feasible, infeasible, feasible] + [infeasible] * 2
+            + [feasible] * 2 + [infeasible] * 2 + [feasible, infeasible]
+        )
+
+    def test_centering_ends_at_the_rounding_floor(self, golden_runs):
+        # backtracking stops once its decrease demand is below the barrier
+        # value's rounding: the n = 2 bisection makes about 3,100 barrier
+        # evaluations, against about 25,000 when noise-level line searches
+        # ran on to the Newton step limit
+        _, evaluations = golden_runs[2]
+        assert evaluations < 6000
 
     def test_n2_boundary(self, golden_bisections):
         result = golden_bisections[2]
