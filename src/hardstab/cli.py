@@ -47,6 +47,14 @@ def _output_path(path: str) -> str:
     return path
 
 
+def _input_path(path: str) -> str:
+    """argparse type for a file a command reads, checked before any work: a
+    path that is not a readable file is a usage error that names the flag."""
+    if not os.path.isfile(path) or not os.access(path, os.R_OK):
+        raise argparse.ArgumentTypeError(f"cannot read {path!r}")
+    return path
+
+
 _int_list = _list_type("integer list", int)
 _float_list = _list_type("float list", float)
 _complex_list = _list_type("complex list", lambda part: complex(part.replace(" ", "")))
@@ -164,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=_output_path, default=None, help="result CSV path")
 
     p = sub.add_parser("plot", help="render an SVG line chart from a CSV")
-    p.add_argument("--csv", required=True)
+    p.add_argument("--csv", type=_input_path, required=True, help="input CSV path")
     p.add_argument("--x", required=True, help="x column name")
     p.add_argument("--y", required=True, help="y column name")
     p.add_argument("--svg", type=_output_path, required=True, help="output SVG path")

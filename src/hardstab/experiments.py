@@ -111,17 +111,18 @@ class _CeDecision:
         return is_stabilizing(self.true_system, gain).stable
 
 
-def _stable_edge(decide: _CeDecision, step: float) -> float:
-    """Farthest stable estimate found from the stable truth at 0 in the
-    direction of ``step``: double the step while it stays stable (up to
-    1e6), then bisect between the last stable and the first unstable
-    estimate until their midpoint rounds to one of them (at most 60 times).
-    No estimate is decided twice."""
-    stable, unstable = 0.0, step
-    while decide(unstable):
-        stable, unstable = unstable, 2 * unstable
-        if abs(unstable) > 1e6:
+def _stable_edge(decide: _CeDecision, center: float, step: float) -> float:
+    """Farthest stable estimate found from the stable truth ``center`` in the
+    direction of ``step``: double the offset from the truth while it stays
+    stable (up to 1e6), then bisect between the last stable and the first
+    unstable estimate until their midpoint rounds to one of them (at most 60
+    times).  No estimate is decided twice."""
+    stable, offset = center, step
+    while decide(center + offset):
+        stable, offset = center + offset, 2 * offset
+        if abs(offset) > 1e6:
             break
+    unstable = center + offset
     for _ in range(60):
         mid = 0.5 * (stable + unstable)
         if mid == stable or mid == unstable:
@@ -133,12 +134,15 @@ def _stable_edge(decide: _CeDecision, step: float) -> float:
     return stable
 
 
-def _stability_interval(decide: _CeDecision, scale: float) -> tuple[float, float]:
+def _stability_interval(
+    decide: _CeDecision, center: float, scale: float
+) -> tuple[float, float]:
     """Connected component (lo, hi) of the stable estimate set around the
-    truth, located by doubling expansion and bisection."""
-    if not decide(0.0):
-        return (0.0, 0.0)
-    return (_stable_edge(decide, -scale), _stable_edge(decide, scale))
+    truth ``center``, located by doubling expansion and bisection; (center,
+    center) when the truth itself does not stabilize."""
+    if not decide(center):
+        return (center, center)
+    return (_stable_edge(decide, center, -scale), _stable_edge(decide, center, scale))
 
 
 # Successive trajectory lengths the search stops at grow by this factor
@@ -211,7 +215,7 @@ def _run_ce_lqr_single(config: CeLqrConfig, n: int) -> CeLqrRow:
     t0 = time.perf_counter()
     params = HardFamilyParams(n=n, r=config.r, v=config.v, b1=config.true_b1)
     decide = _CeDecision(params)
-    lower, upper = _stability_interval(decide, scale=1e-6)
+    lower, upper = _stability_interval(decide, params.b1, scale=1e-6)
     decide.failures = 0  # count trial decisions only, not boundary probes
 
     trials = config.trials

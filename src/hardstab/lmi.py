@@ -187,12 +187,29 @@ class _BarrierState:
     Variables are x = (svec(Q), Y) with trace(Q) = n fixed; the three blocks
     are affine in x.  ``transform`` maps solver coordinates back to the
     original ones: Q_orig = T Q T', Y_orig = Y T'.
+
+    The start is Q = I in coordinates set by the warm start (Q_w, Y_w):
+    T = chol(sym(Q_w)), Y = Y_w T^-T.  Without one, or if that factor or its
+    inverse fails, the cold start takes T = diag(balance()), which balances
+    the gain ladder, and the uniform balanced deadbeat gain Y = -r/v.
     """
 
-    def __init__(self, problem: CostabLmiProblem, transform: np.ndarray):
+    def __init__(self, problem: CostabLmiProblem, warm: Optional[tuple] = None):
         self.n = n = problem.n
+        transform = None
+        if warm is not None:
+            q_w, y_w = warm
+            try:
+                transform = np.linalg.cholesky(0.5 * (q_w + q_w.T))
+                t_inv = np.linalg.inv(transform)
+                y = y_w @ t_inv.T
+            except np.linalg.LinAlgError:
+                transform = None
+        if transform is None:
+            transform = np.diag(problem.balance())
+            t_inv = np.linalg.inv(transform)
+            y = np.full(n, -problem.params.r / problem.params.v)
         self.transform = transform
-        t_inv = np.linalg.inv(transform)
         # the same problem in solver coordinates
         self.scaled = replace(
             problem,
@@ -205,9 +222,10 @@ class _BarrierState:
         self.q_dim = len(self.q_rows)
         self.dim = self.q_dim + n
         self._build_basis()
-        # trace(Q) = n selector
+        # trace(Q) = n selector; its Q part is svec(I), the start's Q
         self.trace_vector = np.zeros(self.dim)
         self.trace_vector[: self.q_dim] = self.q_rows == self.q_cols
+        self.start = np.concatenate([self.trace_vector[: self.q_dim], np.ravel(y)])
 
     def _build_basis(self):
         n, k, d = self.n, self.q_dim, self.dim
@@ -240,14 +258,12 @@ class _BarrierState:
         y = x[self.q_dim :].reshape(1, self.n)
         return q, y
 
-    def pack(self, q: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.concatenate([q[self.q_rows, self.q_cols], np.asarray(y).ravel()])
-
     def blocks(self, x: np.ndarray) -> list[np.ndarray]:
         return self.scaled.blocks(*self.unpack(x))
 
-    def margin(self, x: np.ndarray) -> float:
-        return min(float(np.linalg.eigvalsh(m)[0]) for m in self.blocks(x))
+    def spectra(self, x: np.ndarray) -> list[np.ndarray]:
+        """Ascending eigenvalues of each of the blocks [M1, M2, Q] at x."""
+        return [np.linalg.eigvalsh(m) for m in self.blocks(x)]
 
     def to_original(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         q, y = self.unpack(x)
@@ -327,30 +343,6 @@ class _BarrierState:
         return x
 
 
-def _initial_state(
-    problem: CostabLmiProblem, warm: Optional[tuple[np.ndarray, np.ndarray]]
-) -> _BarrierState:
-    n = problem.n
-    if warm is not None:
-        q_w, y_w = warm
-        q_w = 0.5 * (q_w + q_w.T)
-        try:
-            t = np.linalg.cholesky(q_w)
-            state = _BarrierState(problem, t)
-            y_s = y_w @ np.linalg.inv(t).T
-            state.start = state.pack(np.eye(n), y_s)
-            return state
-        except np.linalg.LinAlgError:
-            pass
-    # cold start: balance the gain ladder and seed with the uniform
-    # balanced deadbeat gain -r/v
-    t = np.diag(problem.balance())
-    state = _BarrierState(problem, t)
-    k_s = np.full((1, n), -problem.params.r / problem.params.v)
-    state.start = state.pack(np.eye(n), k_s)
-    return state
-
-
 def check_feasible(
     problem: CostabLmiProblem,
     tolerance: float = 1e-6,
@@ -360,9 +352,11 @@ def check_feasible(
 
     Returns a verified LmiCertificate or an InfeasibleReport.  The margin is
     climbed level by level: each level re-centers the log-det barrier of the
-    shifted blocks, then the level moves 85% of the remaining gap.  When the
-    iterate's conditioning grows, coordinates are re-preconditioned so the
-    current certificate becomes the identity; this resets the margin lower.
+    shifted blocks, then the level moves 85% of the remaining gap.  Each
+    level reads the block spectra of the centered iterate once: the margin
+    is their smallest eigenvalue, and once the Q block's condition number
+    passes 1e6 the state is rebuilt around the current certificate, which
+    becomes the identity; this resets the margin lower.
 
     "infeasible" is not a proof: the climb stopped without a verified
     certificate, because _STALL_LIMIT (50) levels in a row (counted across
@@ -371,16 +365,17 @@ def check_feasible(
     probes next to the boundary.  "inconclusive": _MAX_LEVELS (400) ran out, or Q
     left the positive definite cone, first.
     """
-    state = _initial_state(problem, warm_start)
+    state = _BarrierState(problem, warm_start)
     x = state.start
-    g = state.margin(x)
+    g = min(float(eigs[0]) for eigs in state.spectra(x))
     level = g - max(1.0, 0.25 * abs(g))
     best_margin = -math.inf
     stall = 0
 
     for _ in range(_MAX_LEVELS):
         x = state.center(x, level)
-        g = state.margin(x)
+        spectra = state.spectra(x)
+        g = min(float(eigs[0]) for eigs in spectra)
         gap = g - level
         if g > 0:
             q_orig, y_orig = state.to_original(x)
@@ -400,15 +395,13 @@ def check_feasible(
         ):
             return InfeasibleReport(best_margin=best_margin, status="infeasible")
         # re-precondition once the certificate drifts far from the identity
-        q_s, _ = state.unpack(x)
-        eigs = np.linalg.eigvalsh(q_s)
-        if eigs[0] <= 0:
+        q_eigs = spectra[-1]
+        if q_eigs[0] <= 0:
             break
-        if eigs[-1] / eigs[0] > 1e6:
-            q_orig, y_orig = state.to_original(x)
-            state = _initial_state(problem, (q_orig, y_orig))
+        if q_eigs[-1] / q_eigs[0] > 1e6:
+            state = _BarrierState(problem, state.to_original(x))
             x = state.start
-            g = state.margin(x)
+            g = min(float(eigs[0]) for eigs in state.spectra(x))
             level = g - max(1e-12, 0.5 * abs(g))
             continue
         level = g - 0.15 * gap
@@ -438,7 +431,6 @@ def bisect_largest_m(
             f"solver status {outcome.status}"
         )
     certificate = outcome
-    warm = (certificate.q, certificate.y)
 
     hi = theorem_m
     trace = [(0.0, "feasible"), (theorem_m, "infeasible-analytic")]
@@ -446,14 +438,12 @@ def bisect_largest_m(
     iterations = 0
     while hi - lo > tolerance * max(lo, theorem_m * 1e-9):
         mid = 0.5 * (lo + hi)
-        outcome = check_feasible(
-            build_costab_lmi(make_hard_pair(params, mid)), warm_start=warm
-        )
+        problem = build_costab_lmi(make_hard_pair(params, mid))
+        outcome = check_feasible(problem, warm_start=(certificate.q, certificate.y))
         iterations += 1
         if outcome.feasible:
             lo = mid
             certificate = outcome
-            warm = (certificate.q, certificate.y)
             trace.append((mid, "feasible"))
         else:
             hi = mid

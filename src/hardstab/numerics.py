@@ -8,6 +8,7 @@ order (``coeffs[k]`` multiplies ``z**k``).  Matrices are dense float64
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -228,6 +229,13 @@ def solve_dare(
     1e-9 floor unreachable once ||P|| is large, so callers handling badly
     scaled systems pass a relative tolerance.  The default contract is the
     absolute tolerance alone (rel_tolerance = 0).
+
+    Exits: converged, when that test passes, with the gain
+    -(R + B'PB)^-1 B'PA at the returned P that the last step solved for;
+    non-finite, a DareError as soon as the residual overflows (the relative
+    threshold would be inf too and pass it); stalled, a DareError after more
+    than 500 steps in a row without a 0.1% residual decrease; and the
+    iteration cap, a DareError.  Each DareError carries the last residual.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float).reshape(a.shape[0], -1)
@@ -249,10 +257,11 @@ def solve_dare(
             raise DareError("singular input-weight Gram matrix R + B'PB")
         p_next = a.T @ p @ a - (a.T @ btp.T) @ gain_part + q
         residual = float(np.linalg.norm(p_next - p))
+        if not math.isfinite(residual):
+            raise DareError("Riccati residual is not finite", residual=residual)
         threshold = max(tolerance, rel_tolerance * float(np.linalg.norm(p_next)))
         if residual <= threshold:
-            gain = -np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a)
-            return DareSolution(p=p, gain=gain, residual=residual, iterations=iteration)
+            return DareSolution(p=p, gain=-gain_part, residual=residual, iterations=iteration)
         if residual < 0.999 * best_residual:
             best_residual = residual
             stall = 0

@@ -217,9 +217,7 @@ def ce_lqr_gain(params: HardFamilyParams, b1_hat: float) -> FeedbackGain:
     """
     a, b = hard_matrices(params.n, params.r, params.v, b1_hat)
     _warn_if_large(params.n)
-    solution = solve_dare(
-        a, b, np.eye(params.n), np.array([[1.0]]), tolerance=1e-9, rel_tolerance=1e-8
-    )
+    solution = solve_dare(a, b, np.eye(params.n), np.array([[1.0]]), rel_tolerance=1e-8)
     return FeedbackGain(k=solution.gain.ravel())
 
 

@@ -180,6 +180,8 @@ class TestUsageErrors:
         self, capsys, monkeypatch, tmp_path, argv
     ):
         monkeypatch.setattr(cli, "_run", lambda args: pytest.fail("the command ran"))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data.csv").write_text("n,m\n2,0.1\n")  # plot's input exists
         missing = tmp_path / "missing"
         with pytest.raises(SystemExit) as exit_info:
             main(argv + [str(missing / "table.csv")])
@@ -207,6 +209,23 @@ class TestUsageErrors:
         assert f"argument --out: cannot write {str(path)!r}" in capsys.readouterr().err
         assert path.exists() == exists
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "unreadable"])
+    def test_plot_input_is_checked_before_any_work(self, capsys, monkeypatch, tmp_path, kind):
+        monkeypatch.setattr(cli, "_run", lambda args: pytest.fail("the command ran"))
+        path = tmp_path / "data.csv"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "unreadable":
+            path.write_text("n,m\n2,0.1\n")
+            monkeypatch.setattr(cli.os, "access", lambda target, mode: False)
+        argv = ["plot", "--csv", str(path), "--x", "n", "--y", "m"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--svg", str(tmp_path / "out.svg")])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"hardstab plot: error: argument --csv: cannot read {str(path)!r}" in err
+        assert not (tmp_path / "out.svg").exists()
+
     @pytest.mark.parametrize(
         "fault", [BisectionError("non-monotone"), np.linalg.LinAlgError("singular")]
     )
@@ -221,8 +240,9 @@ class TestUsageErrors:
 
 def test_readme_cli_examples_parse(monkeypatch, tmp_path):
     """Every ``hardstab ...`` line of README's CLI block parses with today's
-    flags, and the block shows every subcommand.  Output paths are checked
-    at parse time, relative to a fresh working directory."""
+    flags, and the block shows every subcommand.  Paths are checked at parse
+    time, relative to a fresh working directory; each example's output file
+    is created after it parses, since a later example may read it."""
     monkeypatch.chdir(tmp_path)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
@@ -233,7 +253,10 @@ def test_readme_cli_examples_parse(monkeypatch, tmp_path):
     ]
     parser = cli.build_parser()
     for argv in examples:
-        parser.parse_args(argv)
+        args = parser.parse_args(argv)
+        for written in (getattr(args, "out", None), getattr(args, "svg", None)):
+            if written:
+                Path(written).touch()
     subcommands = next(a for a in parser._actions if a.dest == "command").choices
     assert {argv[0] for argv in examples} == set(subcommands)
 

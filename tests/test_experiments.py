@@ -82,9 +82,21 @@ class TestStabilityInterval:
             decided.append(b1_hat)
             return decide(b1_hat)
 
-        lower, upper = experiments._stability_interval(recording, scale=1e-6)
+        lower, upper = experiments._stability_interval(recording, 0.0, scale=1e-6)
         assert len(decided) == len(set(decided))
         assert lower < 0.0 < upper
+        assert decide(lower) and decide(upper)
+        assert not decide(np.nextafter(lower, -np.inf))
+        assert not decide(np.nextafter(upper, np.inf))
+
+    def test_interval_around_a_nonzero_truth(self):
+        # the estimate 0 does not stabilize the truth b1 = 0.2; the search
+        # starts from the truth
+        params = HardFamilyParams(n=3, r=3.2, v=1.01, b1=0.2)
+        decide = experiments._CeDecision(params)
+        lower, upper = experiments._stability_interval(decide, params.b1, scale=1e-6)
+        assert not decide(0.0)
+        assert lower < 0.2 < upper
         assert decide(lower) and decide(upper)
         assert not decide(np.nextafter(lower, -np.inf))
         assert not decide(np.nextafter(upper, np.inf))
@@ -95,7 +107,7 @@ class TestStabilityInterval:
         # stable estimates form one interval; rounding may flip decisions
         # within a few ulps of an edge, so those points are not judged
         decide = experiments._CeDecision(HardFamilyParams(n=n, r=3.2, v=1.01))
-        lower, upper = experiments._stability_interval(decide, scale=1e-6)
+        lower, upper = experiments._stability_interval(decide, 0.0, scale=1e-6)
         width = upper - lower
         scan = np.linspace(lower - width / 2, upper + width / 2, 801)
         decided = np.array([decide(float(b1_hat)) for b1_hat in scan])
@@ -206,8 +218,8 @@ class TestRunCeLqr:
         # direct synthesis measures at the N the model chose
         real = experiments._stability_interval
 
-        def narrowed(decide, scale):
-            lower, upper = real(decide, scale)
+        def narrowed(decide, center, scale):
+            lower, upper = real(decide, center, scale)
             return (0.5 * lower, 0.5 * upper)
 
         monkeypatch.setattr(experiments, "_stability_interval", narrowed)
@@ -216,6 +228,17 @@ class TestRunCeLqr:
         assert row.status == "interval-mismatch"
         assert row.min_n is not None
         assert row.rate_at_min_n == _direct_rate(config, 4, row.min_n)
+
+    def test_nonzero_truth_rows_agree_with_direct_synthesis(self):
+        # b1_hat = 0 does not stabilize this truth, so an interval searched
+        # from 0 instead of the truth disagrees with direct synthesis
+        config = CeLqrConfig(
+            n_values=(2, 3), true_b1=0.2, max_probe_length=2000, seed=20240814
+        )
+        rows = run_ce_lqr(config).rows
+        assert [row.status for row in rows] == ["ok", "ok"]
+        for row in rows:
+            assert row.rate_at_min_n == _direct_rate(config, row.n, row.min_n) >= 0.9
 
     def test_wider_chain_coupling_eases_the_search(self):
         # larger v widens the stabilizable-estimate interval, so fewer

@@ -146,6 +146,16 @@ class TestCheckFeasible:
         assert cert_b.feasible
         assert_certificate_sound(problem_b, cert_b, 1e-6)
 
+    def test_warm_start_without_positive_q_falls_back_to_cold(self):
+        # Q = -I has no Cholesky factor, so the solver starts cold
+        params = HardFamilyParams(n=3, r=3.2, v=1.01)
+        problem = build_costab_lmi(make_hard_pair(params, 0.05))
+        cold = check_feasible(problem)
+        warm = check_feasible(problem, warm_start=(-np.eye(3), np.zeros((1, 3))))
+        assert cold.feasible and warm.feasible
+        np.testing.assert_array_equal(warm.q, cold.q)
+        np.testing.assert_array_equal(warm.y, cold.y)
+
 
 class TestBisection:
     def test_golden_v101(self, golden_bisections):

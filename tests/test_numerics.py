@@ -128,6 +128,17 @@ class TestSolveDare:
             solve_dare(a, b, np.eye(8), [[1.0]])
         assert err.value.residual is not None
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowed_iterate_is_a_failure(self):
+        # the PBH-uncontrollable estimate b1 = -v^2/r at n = 2: P overflows,
+        # and a relative threshold is then as infinite as the residual
+        from hardstab.systems import hard_matrices
+
+        a, b = hard_matrices(2, 3.2, 1.01, -(1.01**2) / 3.2)
+        with pytest.raises(DareError) as err:
+            solve_dare(a, b, np.eye(2), [[1.0]], rel_tolerance=1e-8)
+        assert not np.isfinite(err.value.residual)
+
 
 class TestPrng:
     def test_same_seed_same_stream(self):
