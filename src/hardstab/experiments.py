@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Generator, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .lmi import BISECTION_TOLERANCE, bisect_largest_m
-from .numerics import DareError, Prng
-from .synthesis import ce_lqr_gain, is_stabilizing
+from .numerics import Prng
+from .synthesis import FeedbackGain, ce_lqr_gain, is_stabilizing
 from .systems import CSV_FLOAT, HardFamilyParams, InputPolicy, hard_system
 
 
@@ -95,30 +95,39 @@ class CeLqrResult:
 
 class _CeDecision:
     """Stabilization decision of the certainty-equivalent gain as a function
-    of the estimate, with failure accounting."""
+    of the estimate: one decision for a float, an array of them for a 1-D
+    array of estimates, from one stacked Riccati solve and one stacked
+    stability test."""
 
     def __init__(self, params: HardFamilyParams):
         self.params = params
         self.true_system = hard_system(params)
-        self.failures = 0
 
-    def __call__(self, b1_hat: float) -> bool:
-        try:
-            gain = ce_lqr_gain(self.params, b1_hat)
-        except (DareError, np.linalg.LinAlgError):
-            self.failures += 1
-            return False
-        return is_stabilizing(self.true_system, gain).stable
+    def outcomes(self, b1_hats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(stable, failed) masks for a 1-D array of estimates; an estimate
+        whose Riccati solve failed does not stabilize."""
+        gains, failed = ce_lqr_gain(self.params, b1_hats)
+        stable = np.zeros(failed.shape, dtype=bool)
+        if not failed.all():
+            solved = FeedbackGain(k=gains.k[~failed])
+            stable[~failed] = is_stabilizing(self.true_system, solved).stable
+        return stable, failed
+
+    def __call__(self, b1_hat):
+        stable, _ = self.outcomes(np.atleast_1d(b1_hat))
+        return stable if np.ndim(b1_hat) else bool(stable[0])
 
 
-def _stable_edge(decide: _CeDecision, center: float, step: float) -> float:
-    """Farthest stable estimate found from the stable truth ``center`` in the
-    direction of ``step``: double the offset from the truth while it stays
-    stable (up to 1e6), then bisect between the last stable and the first
-    unstable estimate until their midpoint rounds to one of them (at most 60
-    times).  No estimate is decided twice."""
+def _stable_edge(center: float, step: float) -> Generator[float, bool, float]:
+    """Search for the farthest stable estimate from the stable truth
+    ``center`` in the direction of ``step``, as a generator that yields each
+    estimate to decide and is sent its decision: double the offset from the
+    truth while it stays stable (up to 1e6), then bisect between the last
+    stable and the first unstable estimate until their midpoint rounds to
+    one of them (at most 60 times).  Returns the edge; no estimate is
+    decided twice."""
     stable, offset = center, step
-    while decide(center + offset):
+    while (yield center + offset):
         stable, offset = center + offset, 2 * offset
         if abs(offset) > 1e6:
             break
@@ -127,7 +136,7 @@ def _stable_edge(decide: _CeDecision, center: float, step: float) -> float:
         mid = 0.5 * (stable + unstable)
         if mid == stable or mid == unstable:
             break
-        if decide(mid):
+        if (yield mid):
             stable = mid
         else:
             unstable = mid
@@ -139,10 +148,25 @@ def _stability_interval(
 ) -> tuple[float, float]:
     """Connected component (lo, hi) of the stable estimate set around the
     truth ``center``, located by doubling expansion and bisection; (center,
-    center) when the truth itself does not stabilize."""
+    center) when the truth itself does not stabilize.  The two edges are
+    searched in lockstep: each call decides the next estimate of every side
+    still searching, as one stack, so each side sees the decisions it would
+    see alone."""
     if not decide(center):
         return (center, center)
-    return (_stable_edge(decide, center, -scale), _stable_edge(decide, center, scale))
+    searches = [_stable_edge(center, -scale), _stable_edge(center, scale)]
+    pending = {side: next(search) for side, search in enumerate(searches)}
+    edges = [center, center]
+    while pending:
+        sides = list(pending)
+        stable = decide(np.array([pending[side] for side in sides]))
+        for side, verdict in zip(sides, stable):
+            try:
+                pending[side] = searches[side].send(bool(verdict))
+            except StopIteration as done:
+                edges[side] = done.value
+                del pending[side]
+    return (edges[0], edges[1])
 
 
 # Successive trajectory lengths the search stops at grow by this factor
@@ -209,14 +233,14 @@ def _run_ce_lqr_single(config: CeLqrConfig, n: int) -> CeLqrRow:
     rate reaches the threshold, min_N is the smallest N since the previous
     grid point that does.  Direct CE-LQR synthesis then decides every trial
     at min_N and min_N - 1 (at the last grid point when the search
-    saturates); any disagreement with interval membership marks the row
-    "interval-mismatch".  The reported rate is the direct one.
+    saturates), each length as one stack; any disagreement with interval
+    membership marks the row "interval-mismatch".  The reported rate is the
+    direct one, and the stacks' failure masks give synthesis_failures.
     """
     t0 = time.perf_counter()
     params = HardFamilyParams(n=n, r=config.r, v=config.v, b1=config.true_b1)
     decide = _CeDecision(params)
     lower, upper = _stability_interval(decide, params.b1, scale=1e-6)
-    decide.failures = 0  # count trial decisions only, not boundary probes
 
     trials = config.trials
     threshold = config.success_threshold
@@ -243,13 +267,10 @@ def _run_ce_lqr_single(config: CeLqrConfig, n: int) -> CeLqrRow:
     else:
         checked = [previous]
 
-    decisions = [
-        np.fromiter((decide(float(b)) for b in estimates), dtype=bool, count=trials)
-        for estimates in checked
-    ]
+    outcomes = [decide.outcomes(estimates) for estimates in checked]
     if not all(
         np.array_equal(direct, (estimates > lower) & (estimates < upper))
-        for direct, estimates in zip(decisions, checked)
+        for (direct, _), estimates in zip(outcomes, checked)
     ):
         status = "interval-mismatch"
     else:
@@ -257,8 +278,8 @@ def _run_ce_lqr_single(config: CeLqrConfig, n: int) -> CeLqrRow:
     return CeLqrRow(
         n=n,
         min_n=min_n,
-        rate_at_min_n=float(decisions[0].mean()),
-        synthesis_failures=decide.failures,
+        rate_at_min_n=float(outcomes[0][0].mean()),
+        synthesis_failures=sum(int(np.count_nonzero(failed)) for _, failed in outcomes),
         status=status,
         wall_time_s=time.perf_counter() - t0,
     )

@@ -178,12 +178,14 @@ def poly_roots(coeffs) -> np.ndarray:
     return z
 
 
-def spectral_radius(m) -> float:
-    """Largest eigenvalue modulus of a square matrix."""
+def spectral_radius(m):
+    """Largest eigenvalue modulus of a square matrix, as a float; of a stack
+    of square matrices (..., n, n), an array of them from one eigvals call."""
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"spectral_radius needs a square matrix, got shape {a.shape}")
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"spectral_radius needs square matrices, got shape {a.shape}")
+    rho = np.abs(np.linalg.eigvals(a)).max(axis=-1)
+    return float(rho) if a.ndim == 2 else rho
 
 
 def characteristic_polynomial(m) -> np.ndarray:
@@ -214,6 +216,55 @@ class DareSolution:
     iterations: int
 
 
+@dataclass
+class DareStack:
+    """solve_dare on a stack of k input matrices, element by element.  A
+    failed element's p and gain are NaN, and its error says which exit it
+    took."""
+
+    p: np.ndarray  # k x n x n
+    gain: np.ndarray  # k x m x n
+    residual: np.ndarray  # each element's last residual (NaN for a singular Gram matrix)
+    errors: tuple  # each element's DareError, or None where it converged
+    iterations: int  # fixed-point iterations summed over the elements
+
+    @property
+    def failed(self) -> np.ndarray:
+        return np.array([error is not None for error in self.errors], dtype=bool)
+
+
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, bit for bit as
+    np.linalg.norm gives it for one matrix (a BLAS dot of its entries)."""
+    flat = m.reshape(m.shape[0], 1, -1)
+    return np.sqrt(flat @ flat.transpose(0, 2, 1)).reshape(-1)
+
+
+def _solve_each(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.solve on each system of a stack, and the mask of the
+    singular ones, whose solutions are NaN."""
+    singular = np.zeros(len(gram), dtype=bool)
+    try:
+        return np.linalg.solve(gram, rhs), singular
+    except np.linalg.LinAlgError:
+        pass
+    out = np.full(rhs.shape, np.nan)
+    for i in range(len(gram)):
+        try:
+            out[i] = np.linalg.solve(gram[i], rhs[i])
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return out, singular
+
+
+def _dare_error(singular: bool, residual: float) -> DareError:
+    if singular:
+        return DareError("singular input-weight Gram matrix R + B'PB")
+    if not math.isfinite(residual):
+        return DareError("Riccati residual is not finite", residual=residual)
+    return DareError("Riccati iteration stalled above tolerance", residual=residual)
+
+
 def solve_dare(
     a,
     b,
@@ -221,8 +272,11 @@ def solve_dare(
     r,
     tolerance: float = 1e-9,
     rel_tolerance: float = 0.0,
-) -> DareSolution:
+) -> DareSolution | DareStack:
     """Fixed-point iteration P <- A'PA - A'PB(R + B'PB)^-1 B'PA + Q from P0 = Q.
+
+    b is one n x m input matrix, or a stack of k of them shaped (k, n, m)
+    that share a, q and r; the whole stack runs through one loop.
 
     Success means the float64 residual ||P - f(P)||_F fell below
     max(tolerance, rel_tolerance * ||P||_F); rounding noise makes the plain
@@ -230,46 +284,82 @@ def solve_dare(
     scaled systems pass a relative tolerance.  The default contract is the
     absolute tolerance alone (rel_tolerance = 0).
 
-    Exits: converged, when that test passes, with the gain
+    Exits, per element: converged, when that test passes, with the gain
     -(R + B'PB)^-1 B'PA at the returned P that the last step solved for;
-    non-finite, a DareError as soon as the residual overflows (the relative
-    threshold would be inf too and pass it); stalled, a DareError after more
-    than 500 steps in a row without a 0.1% residual decrease; and the
-    iteration cap, a DareError.  Each DareError carries the last residual.
+    non-finite, as soon as the residual overflows (the relative threshold
+    would be inf too and pass it); stalled, after more than 500 steps in a
+    row without a 0.1% residual decrease; the iteration cap; and a singular
+    R + B'PB.  Each failure is a DareError, which carries the last residual
+    unless the Gram matrix was singular.  An element leaves the stack at the
+    iteration where it exits, so it runs the steps, and gets the bits, that
+    it would get alone.
+
+    A 2-D b gives a DareSolution, or raises its DareError.  A stack gives a
+    DareStack and raises for no element: p (k, n, n) and gain (k, m, n),
+    NaN where an element failed; each element's last residual (k,); errors,
+    each failed element's DareError and None elsewhere (``failed`` is that
+    mask); and iterations, summed over the elements.
     """
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(a.shape[0], -1)
-    q = np.asarray(q, dtype=float)
-    r = np.asarray(r, dtype=float).reshape(b.shape[1], b.shape[1])
     n = a.shape[0]
-    if a.shape != (n, n) or q.shape != (n, n):
+    b = np.asarray(b, dtype=float)
+    stacked = b.ndim == 3
+    if not stacked:
+        b = b.reshape(1, n, -1)
+    m = b.shape[2]
+    q = np.asarray(q, dtype=float)
+    r = np.asarray(r, dtype=float).reshape(m, m)
+    if a.shape != (n, n) or q.shape != (n, n) or b.shape[1] != n:
         raise ValueError("solve_dare: inconsistent matrix dimensions")
 
-    p = q.copy()
-    best_residual = np.inf
-    stall = 0
-    for iteration in range(1, _DARE_MAX_ITERATIONS + 1):
-        btp = b.T @ p
-        gram = r + btp @ b
-        try:
-            gain_part = np.linalg.solve(gram, btp @ a)
-        except np.linalg.LinAlgError:
-            raise DareError("singular input-weight Gram matrix R + B'PB")
-        p_next = a.T @ p @ a - (a.T @ btp.T) @ gain_part + q
-        residual = float(np.linalg.norm(p_next - p))
-        if not math.isfinite(residual):
-            raise DareError("Riccati residual is not finite", residual=residual)
-        threshold = max(tolerance, rel_tolerance * float(np.linalg.norm(p_next)))
-        if residual <= threshold:
-            return DareSolution(p=p, gain=-gain_part, residual=residual, iterations=iteration)
-        if residual < 0.999 * best_residual:
-            best_residual = residual
-            stall = 0
-        else:
+    count = b.shape[0]
+    p_out = np.full((count, n, n), np.nan)
+    gain_out = np.full((count, m, n), np.nan)
+    residual_out = np.full(count, np.nan)
+    errors = [None] * count
+    iterations = 0
+    active = np.arange(count)  # the stack index of each element still iterating
+    p = np.repeat(q[np.newaxis], count, axis=0)
+    best_residual = np.full(count, np.inf)
+    stall = np.zeros(count, dtype=int)
+    # an overflowing iterate is the non-finite exit, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_DARE_MAX_ITERATIONS):
+            iterations += active.size
+            btp = b.transpose(0, 2, 1) @ p
+            gain_part, singular = _solve_each(r + btp @ b, btp @ a)
+            p_next = a.T @ p @ a - (a.T @ btp.transpose(0, 2, 1)) @ gain_part + q
+            residual = _frobenius(p_next - p)
+            threshold = np.maximum(tolerance, rel_tolerance * _frobenius(p_next))
+            improved = residual < 0.999 * best_residual
+            np.copyto(best_residual, residual, where=improved)
             stall += 1
-            if stall > 500:
-                raise DareError(
-                    "Riccati iteration stalled above tolerance", residual=residual
+            stall[improved] = 0
+            # a singular Gram matrix leaves a NaN residual
+            going = (residual > threshold) & (residual < np.inf) & (stall <= 500)
+            if not going.all():
+                exits = ~going
+                converged = exits & (residual <= threshold) & np.isfinite(residual)
+                residual_out[active[exits]] = residual[exits]
+                p_out[active[converged]] = p[converged]
+                gain_out[active[converged]] = -gain_part[converged]
+                for i in np.flatnonzero(exits & ~converged):
+                    errors[active[i]] = _dare_error(singular[i], float(residual[i]))
+                active, b, p_next, best_residual, stall, residual = (
+                    x[going] for x in (active, b, p_next, best_residual, stall, residual)
                 )
-        p = p_next
-    raise DareError("Riccati iteration cap reached", residual=residual)
+                if not active.size:
+                    break
+            p = p_next
+        else:
+            for k, last in zip(active, residual):
+                residual_out[k] = last
+                errors[k] = DareError("Riccati iteration cap reached", residual=float(last))
+
+    if stacked:
+        return DareStack(p_out, gain_out, residual_out, tuple(errors), iterations)
+    if errors[0] is not None:
+        raise errors[0]
+    return DareSolution(
+        p=p_out[0], gain=gain_out[0], residual=float(residual_out[0]), iterations=iterations
+    )

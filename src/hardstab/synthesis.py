@@ -76,20 +76,23 @@ def _warn_if_large(n: int) -> None:
 
 @dataclass(frozen=True)
 class FeedbackGain:
-    """Row gain K (u = K x)."""
+    """Row gain K (u = K x); a 2-D k is a stack of row gains, one per row."""
 
     k: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "k", np.asarray(self.k, dtype=float).ravel())
+        k = np.asarray(self.k, dtype=float)
+        object.__setattr__(self, "k", k if k.ndim == 2 else k.ravel())
 
     @property
     def n(self) -> int:
-        return self.k.size
+        return self.k.shape[-1]
 
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """One verdict, or arrays of them for a stack of gains."""
+
     stable: bool
     spectral_radius: float
 
@@ -201,24 +204,32 @@ def costab_bound(params: HardFamilyParams, poles: Sequence[complex]) -> CostabBo
 
 
 def is_stabilizing(sys: LtiSystem, gain: FeedbackGain) -> StabilityReport:
-    """Strict spectral-radius test of A + B K."""
+    """Strict spectral-radius test of A + B K; for a stack of gains, one test
+    per gain, from one eigenvalue call, reported as arrays."""
     if gain.n != sys.n:
         raise ValueError(f"gain length {gain.n} does not match dimension {sys.n}")
-    rho = spectral_radius(sys.a + sys.b @ gain.k.reshape(1, -1))
+    rho = spectral_radius(sys.a + sys.b @ gain.k[..., np.newaxis, :])
     return StabilityReport(stable=rho < 1.0, spectral_radius=rho)
 
 
-def ce_lqr_gain(params: HardFamilyParams, b1_hat: float) -> FeedbackGain:
+def ce_lqr_gain(params: HardFamilyParams, b1_hat):
     """Certainty-equivalent LQR gain for (A, B(b1_hat)) with Q = I, R = 1.
 
     The Riccati solve uses a scale-aware residual tolerance because the cost
     matrix norm grows like (r/v)^(2n); see solve_dare.  Synthesis succeeding
     says nothing about stability on the true system.
+
+    A float estimate gives its FeedbackGain and raises DareError when the
+    solve fails.  A 1-D array of estimates is solved as one stack and gives
+    (gains, failed): one gain row per estimate, NaN where its solve failed,
+    and the mask of those rows.
     """
     a, b = hard_matrices(params.n, params.r, params.v, b1_hat)
     _warn_if_large(params.n)
     solution = solve_dare(a, b, np.eye(params.n), np.array([[1.0]]), rel_tolerance=1e-8)
-    return FeedbackGain(k=solution.gain.ravel())
+    if b.ndim == 2:
+        return FeedbackGain(k=solution.gain.ravel())
+    return FeedbackGain(k=solution.gain[:, 0]), solution.failed
 
 
 def recovered_poles(params: HardFamilyParams, gain: FeedbackGain) -> np.ndarray:

@@ -96,15 +96,17 @@ class HardFamilyParams:
         return 2 * self.sup_bound
 
 
-def hard_matrices(n: int, r: float, v: float, b1: float) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (A, B) of the family; does not enforce the parameter range."""
+def hard_matrices(n: int, r: float, v: float, b1) -> tuple[np.ndarray, np.ndarray]:
+    """Raw (A, B) of the family; does not enforce the parameter range.  A 1-D
+    array of b1 values gives a stack of input columns, shaped (k, n, 1)."""
     a = np.zeros((n, n))
     a[0, 0] = r
     for i in range(n - 1):
         a[i, i + 1] = v
-    b = np.zeros((n, 1))
-    b[0, 0] = b1
-    b[-1, 0] = v
+    b1 = np.asarray(b1, dtype=float)
+    b = np.zeros(b1.shape + (n, 1))
+    b[..., 0, 0] = b1
+    b[..., -1, 0] = v
     return a, b
 
 

@@ -79,7 +79,7 @@ class TestStabilityInterval:
         decided = []
 
         def recording(b1_hat):
-            decided.append(b1_hat)
+            decided.extend(np.ravel(b1_hat).tolist())
             return decide(b1_hat)
 
         lower, upper = experiments._stability_interval(recording, 0.0, scale=1e-6)
@@ -88,6 +88,25 @@ class TestStabilityInterval:
         assert decide(lower) and decide(upper)
         assert not decide(np.nextafter(lower, -np.inf))
         assert not decide(np.nextafter(upper, np.inf))
+
+    def test_edges_are_searched_in_lockstep(self):
+        # each call decides the next estimate of both sides as one stack, so
+        # the search makes one call per decision of its longer side, plus
+        # the call that decides the truth
+        decide = experiments._CeDecision(HardFamilyParams(n=4, r=3.2, v=1.01))
+        calls = []
+
+        def recording(b1_hat):
+            calls.append(np.atleast_1d(b1_hat).copy())
+            return decide(b1_hat)
+
+        experiments._stability_interval(recording, 0.0, scale=1e-6)
+        decided = np.concatenate(calls)
+        below = np.count_nonzero(decided < 0.0)
+        above = np.count_nonzero(decided > 0.0)
+        assert len(calls) <= max(below, above) + 1
+        for call in calls:
+            assert np.count_nonzero(call < 0.0) <= 1 and np.count_nonzero(call > 0.0) <= 1
 
     def test_interval_around_a_nonzero_truth(self):
         # the estimate 0 does not stabilize the truth b1 = 0.2; the search
@@ -192,19 +211,40 @@ class TestRunCeLqr:
 
     def test_direct_check_decides_min_n_and_the_length_before(self, monkeypatch):
         # after the interval search, synthesis runs on exactly the trials'
-        # estimates at min_N and then at min_N - 1
-        decided = []
+        # estimates at min_N and then at min_N - 1, each length as one
+        # stacked call
+        calls = []
 
         def recording_gain(params, b1_hat):
-            decided.append(b1_hat)
+            calls.append(np.ravel(b1_hat).tolist())
             return ce_lqr_gain(params, b1_hat)
 
         monkeypatch.setattr(experiments, "ce_lqr_gain", recording_gain)
         config = CeLqrConfig(n_values=(4,), trials=50, seed=20240814)
         row = run_ce_lqr(config).rows[0]
         assert row.min_n > 1
-        expected = _estimates(config, 4, row.min_n) + _estimates(config, 4, row.min_n - 1)
+        decided = [b1_hat for call in calls for b1_hat in call]
+        columns = [_estimates(config, 4, row.min_n), _estimates(config, 4, row.min_n - 1)]
+        expected = columns[0] + columns[1]
         assert decided[-len(expected) :] == expected
+        assert calls[-2:] == columns
+
+    def test_synthesis_failures_count_the_direct_check(self, monkeypatch):
+        # synthesis_failures is read from the failure masks of the direct
+        # check's two stacked calls; failures while the interval is searched
+        # (calls of one or two estimates) are not trial decisions
+        def failing_gain(params, b1_hat):
+            gains, failed = ce_lqr_gain(params, b1_hat)
+            if failed.size == config.trials:
+                failed = failed.copy()
+                failed[:3] = True
+            return gains, failed
+
+        config = CeLqrConfig(n_values=(4,), trials=50, seed=20240814)
+        monkeypatch.setattr(experiments, "ce_lqr_gain", failing_gain)
+        row = run_ce_lqr(config).rows[0]
+        assert row.min_n > 1
+        assert row.synthesis_failures == 6
 
     def test_saturated_search_reports_the_direct_rate_at_the_cap(self):
         config = CeLqrConfig(n_values=(6,), trials=50, seed=20240814, max_probe_length=40)

@@ -83,6 +83,40 @@ class TestSpectralRadius:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             spectral_radius(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            spectral_radius(np.ones((4, 2, 3)))
+        with pytest.raises(ValueError):
+            spectral_radius(np.ones(3))
+
+    def test_stack_matches_each_matrix(self):
+        stack = np.random.default_rng(4).normal(size=(30, 5, 5))
+        radii = spectral_radius(stack)
+        assert radii.shape == (30,)
+        assert radii.tolist() == [spectral_radius(m) for m in stack]
+
+
+def reference_dare(a, b, q, r, rel_tolerance):
+    """The fixed-point loop one 2-D system at a time, as written before
+    solve_dare took stacks: (P, gain) at convergence, None on any failure."""
+    p = q.copy()
+    best, stall = np.inf, 0
+    for _ in range(100_000):
+        btp = b.T @ p
+        gain_part = np.linalg.solve(r + btp @ b, btp @ a)
+        p_next = a.T @ p @ a - (a.T @ btp.T) @ gain_part + q
+        residual = float(np.linalg.norm(p_next - p))
+        if not np.isfinite(residual):
+            return None
+        if residual <= max(1e-9, rel_tolerance * float(np.linalg.norm(p_next))):
+            return p, -gain_part
+        if residual < 0.999 * best:
+            best, stall = residual, 0
+        else:
+            stall += 1
+            if stall > 500:
+                return None
+        p = p_next
+    return None
 
 
 class TestSolveDare:
@@ -128,16 +162,70 @@ class TestSolveDare:
             solve_dare(a, b, np.eye(8), [[1.0]])
         assert err.value.residual is not None
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowed_iterate_is_a_failure(self):
         # the PBH-uncontrollable estimate b1 = -v^2/r at n = 2: P overflows,
-        # and a relative threshold is then as infinite as the residual
+        # and a relative threshold is then as infinite as the residual; the
+        # overflow is this exit, not a warning
         from hardstab.systems import hard_matrices
 
         a, b = hard_matrices(2, 3.2, 1.01, -(1.01**2) / 3.2)
         with pytest.raises(DareError) as err:
             solve_dare(a, b, np.eye(2), [[1.0]], rel_tolerance=1e-8)
         assert not np.isfinite(err.value.residual)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_stacked_failure_stays_with_its_element(self):
+        # the overflowing estimate among good ones: only its element fails,
+        # and every other element is bit for bit its 2-D solve
+        from hardstab.systems import hard_matrices
+
+        estimates = np.array([0.0, 0.02, -(1.01**2) / 3.2, -0.03, 1e-3])
+        a, b = hard_matrices(2, 3.2, 1.01, estimates)
+        stack = solve_dare(a, b, np.eye(2), [[1.0]], rel_tolerance=1e-8)
+        np.testing.assert_array_equal(stack.failed, [False, False, True, False, False])
+        assert isinstance(stack.errors[2], DareError)
+        assert "not finite" in str(stack.errors[2])
+        assert np.isnan(stack.gain[2]).all() and np.isnan(stack.p[2]).all()
+        iterations = 0
+        for i in (0, 1, 3, 4):
+            single = solve_dare(a, b[i], np.eye(2), [[1.0]], rel_tolerance=1e-8)
+            assert stack.gain[i].tobytes() == single.gain.tobytes()
+            assert stack.p[i].tobytes() == single.p.tobytes()
+            assert stack.residual[i] == single.residual
+            iterations += single.iterations
+        assert stack.iterations > iterations
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_stack_matches_the_one_system_loop(self):
+        # same arithmetic as the plain loop, bit for bit, failures included
+        from hardstab.systems import hard_matrices
+
+        for n in range(2, 9):
+            pbh = -1.01 * (1.01 / 3.2) ** (n - 1)
+            estimates = np.append(np.linspace(-0.05, 0.05, 21), pbh)
+            a, b = hard_matrices(n, 3.2, 1.01, estimates)
+            stack = solve_dare(a, b, np.eye(n), [[1.0]], rel_tolerance=1e-8)
+            for i in range(estimates.size):
+                ref = reference_dare(a, b[i], np.eye(n), np.eye(1), 1e-8)
+                assert stack.failed[i] == (ref is None)
+                if ref is not None:
+                    assert stack.p[i].tobytes() == ref[0].tobytes()
+                    assert stack.gain[i].tobytes() == ref[1].tobytes()
+
+    def test_singular_gram_fails_only_its_element(self):
+        # with R = 0, a zero input column makes R + B'PB singular
+        a = np.array([[0.5, 0.1], [0.0, 0.3]])
+        b = np.array([[[0.0], [1.0]], [[0.0], [0.0]], [[1.0], [1.0]]])
+        stack = solve_dare(a, b, np.eye(2), [[0.0]])
+        np.testing.assert_array_equal(stack.failed, [False, True, False])
+        assert "singular" in str(stack.errors[1])
+        for i in (0, 2):
+            single = solve_dare(a, b[i], np.eye(2), [[0.0]])
+            assert stack.gain[i].tobytes() == single.gain.tobytes()
+        with pytest.raises(DareError, match="singular"):
+            solve_dare(a, b[1], np.eye(2), [[0.0]])
 
 
 class TestPrng:

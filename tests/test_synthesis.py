@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hardstab.numerics import poly_roots
+from hardstab.numerics import DareError, poly_roots, solve_dare, spectral_radius
 from hardstab.synthesis import (
     FeedbackGain,
     PoleSetError,
@@ -306,6 +306,43 @@ class TestCeLqrGain:
         truth = make_hard_pair(params, 0.0).s1
         gain = ce_lqr_gain(params, 1e-9)
         assert is_stabilizing(truth, gain).stable
+
+
+class TestStackedCeLqr:
+    def test_stack_matches_one_estimate_at_a_time(self):
+        # the 1,407-estimate grid: 201 estimates in [-0.05, 0.05] at each of
+        # n = 2..8, solved as one stack per n and one by one; gains, failure
+        # positions, spectral radii and decisions must agree bit for bit
+        estimates = np.linspace(-0.05, 0.05, 201)
+        failures = 0
+        for n in range(2, 9):
+            params = HardFamilyParams(n=n, r=3.2, v=1.01)
+            truth = make_hard_pair(params, 0.0).s1
+            gains, failed = ce_lqr_gain(params, estimates)
+            a, b = hard_matrices(n, 3.2, 1.01, estimates)
+            stack = solve_dare(a, b, np.eye(n), [[1.0]], rel_tolerance=1e-8)
+            np.testing.assert_array_equal(stack.failed, failed)
+            assert gains.k.tobytes() == stack.gain[:, 0].tobytes()
+            closed = truth.a + truth.b @ gains.k[~failed][:, np.newaxis, :]
+            assert spectral_radius(closed).tolist() == [spectral_radius(m) for m in closed]
+            stable = is_stabilizing(truth, FeedbackGain(k=gains.k[~failed])).stable
+
+            single_failed, single_stable = [], []
+            for i, b1_hat in enumerate(estimates):
+                try:
+                    single = solve_dare(a, b[i], np.eye(n), [[1.0]], rel_tolerance=1e-8)
+                except DareError:
+                    single_failed.append(True)
+                    continue
+                single_failed.append(False)
+                assert single.gain.tobytes() == stack.gain[i].tobytes()
+                assert single.p.tobytes() == stack.p[i].tobytes()
+                gain = ce_lqr_gain(params, float(b1_hat))
+                single_stable.append(is_stabilizing(truth, gain).stable)
+            assert failed.tolist() == single_failed
+            assert stable.tolist() == single_stable
+            failures += int(failed.sum())
+        assert failures > 0
 
 
 class TestCeLqrRiccatiOracle:
