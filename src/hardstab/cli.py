@@ -313,6 +313,7 @@ def _run(args: argparse.Namespace) -> None:
         print(f"bracket = [{result.bracket[0]:.12g}, {result.bracket[1]:.12g}]")
         print(f"sup bound = {result.sup_bound:.12g}, theorem m = {result.theorem_m:.12g}")
         print(f"iterations = {result.iterations}")
+        print(f"status = {result.status}")
         if result.certificate is not None:
             print(f"certificate margin = {result.certificate.margin:.6g}")
 

@@ -334,7 +334,7 @@ def run_lmi_sweep(
                 largest_m=result.largest_feasible_m,
                 sup_bound=result.sup_bound,
                 iterations=result.iterations,
-                status="conservative" if result.conservative else "ok",
+                status=result.status,
             )
         )
     return rows

@@ -7,20 +7,27 @@ siblings and P > 0" is convexified by Q = P^-1, Y = K Q: for i in {1, 2}
     [[Q, (A Q + B_i Y)'], [A Q + B_i Y, Q]] > 0,   Q > 0,
 
 with K = Y Q^-1 and P = Q^-1 recovered from any solution.  Feasibility is
-decided by maximizing the smallest block eigenvalue with a log-determinant
-barrier and damped Newton steps.  Certificates for this family are
-intrinsically ill conditioned (their conditioning grows geometrically with
-n), so the solver works in congruence-transformed coordinates that keep the
-current iterate near the identity, re-preconditioning as it converges; every
-returned certificate is re-verified in the original variables by direct
-substitution.
+decided on the margin problem
+
+    maximize t  subject to  M1 - t I >= 0,  M2 - t I >= 0,  Q - t I >= 0,
+    trace(Q) = n,
+
+by infeasible-start primal-dual path following (HKM direction, Mehrotra
+predictor-corrector).  Certificates for this family are intrinsically ill
+conditioned (their conditioning grows geometrically with n), so the solver
+works in congruence-transformed coordinates that make a start point the
+identity, and re-preconditions between rounds; every returned certificate
+is re-verified in the original variables by direct substitution.  A probe
+is "feasible" when a certificate verifies, "infeasible" when the duality gap
+closes first, and "inconclusive" when the iteration cap or a numerical
+breakdown comes first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -29,12 +36,16 @@ from .synthesis import FeedbackGain
 from .systems import HardFamilyParams, HardPair, make_hard_pair
 
 _EPS = np.finfo(float).eps
-# Newton steps per barrier centering
-_MAX_NEWTON = 60
-# check_feasible gives up after this many barrier levels ("inconclusive"), or
-# after this many levels in a row without a new best margin ("infeasible")
-_MAX_LEVELS = 400
-_STALL_LIMIT = 50
+# Path-following iterations per round
+_MAX_ITERATIONS = 50
+# Rounds per check_feasible call, each after the first re-preconditioned
+_MAX_ROUNDS = 3
+# Duality gap <X, S> at which a round counts as closed
+_GAP_CLOSED = 1e-9
+# Share of the largest step inside the cone that an iterate takes
+_STEP_FRACTION = 0.95
+# Ridge added to the Schur complement, relative to its trace
+_RIDGE = 1e-15
 # Relative bracket width at which bisect_largest_m stops
 BISECTION_TOLERANCE = 1e-3
 
@@ -93,6 +104,7 @@ class LmiCertificate:
     p_min_eigenvalue: float
     lyapunov_margins: tuple[float, float]  # -lambda_max((A+B_iK)'P(A+B_iK) - P)
     spectral_radii: tuple[float, float]
+    iterations: int = 0  # path-following iterations over all rounds
 
     @property
     def feasible(self) -> bool:
@@ -101,14 +113,16 @@ class LmiCertificate:
 
 @dataclass(frozen=True)
 class InfeasibleReport:
-    """No verified certificate.  Status 'infeasible' means the margin climb
-    stopped (a stall or a level-set collapse) and 'inconclusive' that it was
-    cut off first; see check_feasible.  Neither is checked: best_margin is
-    the largest margin reached, measured in the solver coordinates of its
-    moment, not a bound on the true maximum."""
+    """No verified certificate; see check_feasible.  Status 'infeasible'
+    means a round's duality gap closed first, 'inconclusive' that every
+    round hit the iteration cap or broke down.  best_margin and gap are the
+    margin t and the duality gap <X, S> of the last iterate, in the solver
+    coordinates of the last round; neither is checked."""
 
     best_margin: float
     status: str  # "infeasible" | "inconclusive"
+    iterations: int = 0  # path-following iterations over all rounds
+    gap: float = math.nan
 
     @property
     def feasible(self) -> bool:
@@ -125,6 +139,12 @@ class BisectionResult:
     theorem_m: float
     conservative: bool
     trace: tuple = ()
+
+    @property
+    def status(self) -> str:
+        """'conservative' when an inconclusive probe was counted as
+        infeasible, else 'ok'."""
+        return "conservative" if self.conservative else "ok"
 
 
 def _verify_certificate(
@@ -182,16 +202,17 @@ def _verify_certificate(
 
 
 class _BarrierState:
-    """Margin maximization in congruence-transformed coordinates.
+    """The margin problem in congruence-transformed coordinates.
 
     Variables are x = (svec(Q), Y) with trace(Q) = n fixed; the three blocks
-    are affine in x.  ``transform`` maps solver coordinates back to the
+    are linear in x.  ``transform`` maps solver coordinates back to the
     original ones: Q_orig = T Q T', Y_orig = Y T'.
 
     The start is Q = I in coordinates set by the warm start (Q_w, Y_w):
     T = chol(sym(Q_w)), Y = Y_w T^-T.  Without one, or if that factor or its
     inverse fails, the cold start takes T = diag(balance()), which balances
-    the gain ladder, and the uniform balanced deadbeat gain Y = -r/v.
+    the gain ladder, and the uniform balanced deadbeat gain Y = -r/v;
+    ``warm`` says which start was taken.
     """
 
     def __init__(self, problem: CostabLmiProblem, warm: Optional[tuple] = None):
@@ -205,6 +226,7 @@ class _BarrierState:
                 y = y_w @ t_inv.T
             except np.linalg.LinAlgError:
                 transform = None
+        self.warm = transform is not None
         if transform is None:
             transform = np.diag(problem.balance())
             t_inv = np.linalg.inv(transform)
@@ -221,13 +243,18 @@ class _BarrierState:
         self.q_rows, self.q_cols = np.triu_indices(n)
         self.q_dim = len(self.q_rows)
         self.dim = self.q_dim + n
-        self._build_basis()
         # trace(Q) = n selector; its Q part is svec(I), the start's Q
-        self.trace_vector = np.zeros(self.dim)
-        self.trace_vector[: self.q_dim] = self.q_rows == self.q_cols
-        self.start = np.concatenate([self.trace_vector[: self.q_dim], np.ravel(y)])
+        trace_vector = np.zeros(self.dim)
+        trace_vector[: self.q_dim] = self.q_rows == self.q_cols
+        self.start = np.concatenate([trace_vector[: self.q_dim], np.ravel(y)])
+        # orthonormal directions of the trace(Q) = n plane
+        self.plane = np.linalg.qr(trace_vector[:, None], mode="complete")[0][:, 1:]
+        self._build_basis()
 
     def _build_basis(self):
+        """basis[i][j] is the derivative of the slack block F_i(x) - t I along
+        coordinate j of y = (z, t), where x = start + plane @ z: dim - 1
+        directions in the plane, then t."""
         n, k, d = self.n, self.q_dim, self.dim
         # e[a] is the symmetric unit matrix of svec coordinate a
         e = np.zeros((k, n, n))
@@ -248,8 +275,11 @@ class _BarrierState:
         gq = np.zeros((d, n, n))
         gq[:k] = e
         tensors.append(gq)
-        self.basis = tensors
-        self.basis_flat = [g.reshape(self.dim, -1) for g in tensors]
+        self.basis = [
+            np.concatenate([np.tensordot(self.plane.T, g, axes=1), -np.eye(g.shape[1])[None]])
+            for g in tensors
+        ]
+        self.basis_flat = [g.reshape(d, -1) for g in self.basis]
 
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         q = np.zeros((self.n, self.n))
@@ -261,86 +291,125 @@ class _BarrierState:
     def blocks(self, x: np.ndarray) -> list[np.ndarray]:
         return self.scaled.blocks(*self.unpack(x))
 
-    def spectra(self, x: np.ndarray) -> list[np.ndarray]:
-        """Ascending eigenvalues of each of the blocks [M1, M2, Q] at x."""
-        return [np.linalg.eigvalsh(m) for m in self.blocks(x)]
-
     def to_original(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         q, y = self.unpack(x)
         t = self.transform
         return t @ q @ t.T, y @ t.T
 
-    def _barrier_value(self, x: np.ndarray, level: float) -> Optional[tuple]:
-        """-(sum of log dets) of the blocks shifted down by level, with the
-        shifted blocks, or None outside the cone."""
-        shifted = self.blocks(x)
-        value = 0.0
-        for m in shifted:
-            # m - level * I, in place: off the diagonal it subtracted 0.0
-            m.reshape(-1)[:: m.shape[0] + 1] -= level
-            try:
-                diag = np.linalg.cholesky(m).diagonal()
-            except np.linalg.LinAlgError:
-                return None
-            if (diag <= 0).any():
-                return None
-            value -= 2.0 * float(np.log(diag).sum())
-        return value, shifted
 
-    def center(self, x: np.ndarray, level: float) -> np.ndarray:
-        """Damped Newton minimization of the barrier at the given level,
-        staying on the trace(Q) = n plane.
+class _Round(NamedTuple):
+    """How one round of path following ended, at its last iterate (x, t)."""
 
-        Ends when the Newton decrement is at most 2e-10; when the
-        backtracking line search fails, or its sufficient-decrease demand
-        0.01 * alpha * |slope| has fallen to the rounding floor
-        _EPS * |value| of the barrier value, so that only noise could pass
-        it; or after _MAX_NEWTON steps."""
-        barrier = self._barrier_value(x, level)
-        if barrier is None:
-            raise ValueError("centering started outside the level set")
-        value, shifted = barrier
-        for _ in range(_MAX_NEWTON):
-            grad = np.zeros(self.dim)
-            hess = np.zeros((self.dim, self.dim))
-            for m, basis, basis_flat in zip(shifted, self.basis, self.basis_flat):
-                inv = np.linalg.inv(m)
-                inv = 0.5 * (inv + inv.T)
-                grad -= basis_flat @ inv.ravel()
-                w = np.matmul(inv, basis)
-                wt = w.transpose(0, 2, 1).reshape(self.dim, -1)
-                hess += w.reshape(self.dim, -1) @ wt.T
-            kkt = np.zeros((self.dim + 1, self.dim + 1))
-            kkt[: self.dim, : self.dim] = hess
-            kkt[: self.dim, self.dim] = self.trace_vector
-            kkt[self.dim, : self.dim] = self.trace_vector
-            rhs = np.concatenate([-grad, [0.0]])
-            try:
-                step = np.linalg.solve(kkt, rhs)[: self.dim]
-            except np.linalg.LinAlgError:
-                jitter = 1e-12 * (1.0 + np.trace(hess) / self.dim)
-                kkt[: self.dim, : self.dim] += jitter * np.eye(self.dim)
-                step = np.linalg.solve(kkt, rhs)[: self.dim]
-            decrement = float(step @ hess @ step)
-            if decrement <= 2e-10:
-                break
-            slope = float(grad @ step)
-            alpha = 1.0
-            improved = False
-            for _ in range(60):
-                if 0.01 * alpha * abs(slope) <= _EPS * abs(value):
-                    break
-                candidate = x + alpha * step
-                barrier = self._barrier_value(candidate, level)
-                if barrier is not None and barrier[0] <= value + 0.01 * alpha * slope:
-                    x = candidate
-                    value, shifted = barrier
-                    improved = True
-                    break
-                alpha *= 0.5
-            if not improved:
-                break
-        return x
+    certificate: Optional[LmiCertificate]
+    x: np.ndarray
+    t: float
+    gap: float  # <X, S>
+    iterations: int
+    closed: bool  # the gap reached _GAP_CLOSED
+
+
+def _max_step(factor_inv: np.ndarray, step: np.ndarray) -> float:
+    """Largest alpha with L L' + alpha * step >= 0, given L^-1."""
+    lam = float(np.linalg.eigvalsh(factor_inv @ step @ factor_inv.T)[0])
+    return math.inf if lam >= 0 else -1.0 / lam
+
+
+def _path_follow(problem: CostabLmiProblem, state: _BarrierState, tolerance: float) -> _Round:
+    """One round of infeasible-start primal-dual path following on the
+    margin problem in the state's coordinates.
+
+    The dual iterate is y = (z, t) with x = start + plane @ z and slack
+    S = F(x) - t I, rebuilt from (x, t) at every iterate, so the dual
+    residual stays zero; it starts at t = lambda_min(F(start)) - 1.  The
+    primal iterate X, one block per slack block, starts at I / N (N the
+    total order), off its equality constraints; its steps restore them.
+    Each iteration takes the HKM direction (Helmberg, Rendl, Vanderbei and
+    Wolkowicz 1996) with a Mehrotra predictor-corrector step; X and y each
+    move _STEP_FRACTION of their largest step inside the cone.
+
+    Every iterate with t > 0 is checked by substitution.  The round ends at
+    the first verified certificate, once the duality gap <X, S> is at most
+    _GAP_CLOSED, when X or S loses its Cholesky factor (breakdown), or after
+    _MAX_ITERATIONS iterations."""
+    x = state.start
+    t = min(float(np.linalg.eigvalsh(m)[0]) for m in state.blocks(x)) - 1.0
+    order = sum(basis.shape[1] for basis in state.basis)
+    xs = [np.eye(basis.shape[1]) / order for basis in state.basis]
+    target = np.zeros(state.dim)  # the objective t
+    target[-1] = 1.0
+    gap = math.nan
+    iterations = 0
+    while True:
+        ss = state.blocks(x)
+        for s in ss:
+            s.reshape(-1)[:: s.shape[0] + 1] -= t
+        try:
+            x_factors = [np.linalg.cholesky(m) for m in xs]
+            s_inv = [np.linalg.inv(np.linalg.cholesky(m)) for m in ss]
+        except np.linalg.LinAlgError:
+            return _Round(None, x, t, gap, iterations, False)
+        gap = sum(float(np.vdot(xm, s)) for xm, s in zip(xs, ss))
+        if t > 0:
+            certificate = _verify_certificate(problem, *state.to_original(x), tolerance)
+            if certificate is not None:
+                return _Round(certificate, x, t, gap, iterations, False)
+        if gap <= _GAP_CLOSED:
+            return _Round(None, x, t, gap, iterations, True)
+        if iterations == _MAX_ITERATIONS:
+            return _Round(None, x, t, gap, iterations, False)
+        iterations += 1
+
+        x_inv = [np.linalg.inv(lx) for lx in x_factors]
+        zs = [si.T @ si for si in s_inv]  # S^-1
+        # Schur complement <D_i, X D_j S^-1> = <U_i, U_j>, U_i = Lx' D_i Ls^-T.
+        # Its conditioning grows like 1/gap^2 on these degenerate problems, and
+        # a plain Cholesky factor fails near gap 1e-7; a ridge of 1e-15 of its
+        # trace keeps it until the gap nears 1e-13.
+        schur = np.zeros((state.dim, state.dim))
+        for basis, lx, si in zip(state.basis, x_factors, s_inv):
+            u = (lx.T @ basis @ si.T).reshape(state.dim, -1)
+            schur += u @ u.T
+        schur.reshape(-1)[:: state.dim + 1] += _RIDGE * np.trace(schur)
+        try:
+            factor = np.linalg.cholesky(schur)
+        except np.linalg.LinAlgError:
+            return _Round(None, x, t, gap, iterations, False)
+
+        def direction(rhs, centre, second):
+            """HKM direction: dS = sum dy_j D_j, and dX the symmetric part of
+            centre S^-1 - X - (X dS + second) S^-1."""
+            dy = np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
+            ds = [(dy @ flat).reshape(z.shape) for flat, z in zip(state.basis_flat, zs)]
+            dx = []
+            for xm, d, z, c in zip(xs, ds, zs, second):
+                w = centre * z - xm - (xm @ d + c) @ z
+                dx.append(0.5 * (w + w.T))
+            return dy, dx, ds
+
+        def steps(dx, ds, fraction):
+            primal = min(_max_step(xi, d) for xi, d in zip(x_inv, dx))
+            dual = min(_max_step(si, d) for si, d in zip(s_inv, ds))
+            return min(1.0, fraction * primal), min(1.0, fraction * dual)
+
+        def pairing(ws):
+            """(sum over the blocks i of <D_ij, W_i>) for each coordinate j."""
+            return sum(flat @ w.ravel() for flat, w in zip(state.basis_flat, ws))
+
+        mu = gap / order
+        _, dx, ds = direction(target, 0.0, [0.0] * len(xs))
+        alpha_x, alpha_s = steps(dx, ds, 1.0)
+        mu_affine = sum(
+            float(np.vdot(xm + alpha_x * a, s + alpha_s * b))
+            for xm, a, s, b in zip(xs, dx, ss, ds)
+        ) / order
+        sigma = min(1.0, (mu_affine / mu) ** 3)
+        second = [a @ b for a, b in zip(dx, ds)]
+        rhs = target + sigma * mu * pairing(zs) - pairing([c @ z for c, z in zip(second, zs)])
+        dy, dx, ds = direction(rhs, sigma * mu, second)
+        alpha_x, alpha_s = steps(dx, ds, _STEP_FRACTION)
+        xs = [xm + alpha_x * a for xm, a in zip(xs, dx)]
+        x = x + alpha_s * (state.plane @ dy[:-1])
+        t += alpha_s * dy[-1]
 
 
 def check_feasible(
@@ -350,63 +419,45 @@ def check_feasible(
 ) -> LmiCertificate | InfeasibleReport:
     """Decide strict feasibility of the convexified pair problem.
 
-    Returns a verified LmiCertificate or an InfeasibleReport.  The margin is
-    climbed level by level: each level re-centers the log-det barrier of the
-    shifted blocks, then the level moves 85% of the remaining gap.  Each
-    level reads the block spectra of the centered iterate once: the margin
-    is their smallest eigenvalue, and once the Q block's condition number
-    passes 1e6 the state is rebuilt around the current certificate, which
-    becomes the identity; this resets the margin lower.
+    Returns a verified LmiCertificate or an InfeasibleReport.  Each round
+    runs _path_follow on the margin problem (maximize t with M1, M2 and Q
+    all >= t I on the trace(Q) = n plane).  A round without a certificate
+    is followed by one in coordinates re-centred on its last iterate, whose
+    Q becomes the identity, while that Q is positive definite and fewer
+    than _MAX_ROUNDS rounds have run, unless its gap closed in warm
+    coordinates.  The balanced cold start is a guess that fits large n
+    badly: at m = 0, n = 11 the cold round closes at t ~ -4e-11 and the
+    next verifies at t ~ 0.07.
 
-    "infeasible" is not a proof: the climb stopped without a verified
-    certificate, because _STALL_LIMIT (50) levels in a row (counted across
-    re-preconditionings) gave no new best margin, as in most infeasible
-    probes, or because the level set collapsed onto the margin, as in the
-    probes next to the boundary.  "inconclusive": _MAX_LEVELS (400) ran out, or Q
-    left the positive definite cone, first.
+    "feasible": a certificate passed _verify_certificate.
+    "infeasible": a round's duality gap closed with no certificate verified,
+    so the largest margin in its coordinates is t to within the gap.  That
+    t is mostly a numerical zero (about -1e-10).  Next to the boundary it
+    can be positive (up to 1e-2 at n = 10) while no iterate's certificate
+    passes substitution: in the original variables its Schur margins sit
+    below the rounding floor.
+    "inconclusive": every round hit _MAX_ITERATIONS or broke down first.
     """
     state = _BarrierState(problem, warm_start)
-    x = state.start
-    g = min(float(eigs[0]) for eigs in state.spectra(x))
-    level = g - max(1.0, 0.25 * abs(g))
-    best_margin = -math.inf
-    stall = 0
-
-    for _ in range(_MAX_LEVELS):
-        x = state.center(x, level)
-        spectra = state.spectra(x)
-        g = min(float(eigs[0]) for eigs in spectra)
-        gap = g - level
-        if g > 0:
-            q_orig, y_orig = state.to_original(x)
-            certificate = _verify_certificate(problem, q_orig, y_orig, tolerance)
-            if certificate is not None:
-                return certificate
-        if g > best_margin + max(1e-14, 1e-7 * abs(g)):
-            best_margin = max(best_margin, g)
-            stall = 0
-        else:
-            stall += 1
-            if stall >= _STALL_LIMIT:
-                return InfeasibleReport(best_margin=best_margin, status="infeasible")
-        # the level set collapsed onto the margin: the climb is over
-        if gap <= max(1e-13, 1e-7 * abs(g)) or (
-            g < -1e-12 and gap <= 0.02 * abs(g)
-        ):
-            return InfeasibleReport(best_margin=best_margin, status="infeasible")
-        # re-precondition once the certificate drifts far from the identity
-        q_eigs = spectra[-1]
-        if q_eigs[0] <= 0:
+    iterations = 0
+    closed = False
+    for _ in range(_MAX_ROUNDS):
+        outcome = _path_follow(problem, state, tolerance)
+        iterations += outcome.iterations
+        if outcome.certificate is not None:
+            return replace(outcome.certificate, iterations=iterations)
+        closed = closed or outcome.closed
+        if outcome.closed and state.warm:
             break
-        if q_eigs[-1] / q_eigs[0] > 1e6:
-            state = _BarrierState(problem, state.to_original(x))
-            x = state.start
-            g = min(float(eigs[0]) for eigs in state.spectra(x))
-            level = g - max(1e-12, 0.5 * abs(g))
-            continue
-        level = g - 0.15 * gap
-
-    return InfeasibleReport(best_margin=best_margin, status="inconclusive")
+        if np.linalg.eigvalsh(state.unpack(outcome.x)[0])[0] <= 0:
+            break
+        state = _BarrierState(problem, state.to_original(outcome.x))
+    return InfeasibleReport(
+        best_margin=outcome.t,
+        status="infeasible" if closed else "inconclusive",
+        iterations=iterations,
+        gap=outcome.gap,
+    )
 
 
 def bisect_largest_m(

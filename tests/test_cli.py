@@ -7,7 +7,7 @@ import pytest
 
 from hardstab import cli
 from hardstab.cli import main, read_config
-from hardstab.lmi import BisectionError
+from hardstab.lmi import BisectionError, InfeasibleReport
 from hardstab.plotting import NamedColumnError, render_plot
 
 
@@ -81,6 +81,19 @@ class TestSubcommands:
             return [",".join(line.split(",")[:-1]) for line in text.splitlines() if "," in line]
 
         assert strip_wall(out1) == strip_wall(out2)
+
+    def test_lmi_bisect_reports_status(self, capsys, monkeypatch):
+        # the words of the exp-lmi-sweep status column
+        assert "status = ok\n" in run_cli(capsys, "lmi-bisect", "--n", "2")
+        check = cli.lmi.check_feasible
+
+        def inconclusive_above_zero(problem, *args, **kwargs):
+            if np.array_equal(problem.b1, problem.b2):  # m = 0
+                return check(problem, *args, **kwargs)
+            return InfeasibleReport(best_margin=-1.0, status="inconclusive")
+
+        monkeypatch.setattr(cli.lmi, "check_feasible", inconclusive_above_zero)
+        assert "status = conservative\n" in run_cli(capsys, "lmi-bisect", "--n", "2")
 
     def test_config_file_defaults_and_flag_override(self, capsys, tmp_path):
         config = tmp_path / "lab.cfg"

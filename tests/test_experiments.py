@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hardstab import experiments
+from hardstab import experiments, lmi
 from hardstab.experiments import (
     CeLqrConfig,
     LmiSweepRow,
@@ -10,6 +10,7 @@ from hardstab.experiments import (
     run_lmi_sweep,
     write_csv_lines,
 )
+from hardstab.lmi import InfeasibleReport
 from hardstab.numerics import DareError, Prng
 from hardstab.synthesis import ce_lqr_gain, is_stabilizing
 from hardstab.systems import (
@@ -295,6 +296,24 @@ class TestLmiSweep:
         for row in rows:
             assert 0 < row.largest_m <= row.sup_bound
         assert rows[1].largest_m < rows[0].largest_m
+
+    def test_inconclusive_probes_make_the_row_conservative(self, monkeypatch):
+        check = lmi.check_feasible
+
+        def inconclusive_above_zero(problem, *args, **kwargs):
+            if np.array_equal(problem.b1, problem.b2):  # m = 0
+                return check(problem, *args, **kwargs)
+            return InfeasibleReport(best_margin=-1.0, status="inconclusive")
+
+        monkeypatch.setattr(lmi, "check_feasible", inconclusive_above_zero)
+        params = HardFamilyParams(n=2, r=3.2, v=1.01)
+        result = lmi.bisect_largest_m(params)
+        assert result.conservative and result.status == "conservative"
+        assert result.largest_feasible_m == 0.0
+        assert {status for _, status in result.trace[2:]} == {"inconclusive"}
+        rows = run_lmi_sweep([2], r=3.2, v=1.01)
+        assert rows[0].status == "conservative"
+        assert lmi_sweep_csv_lines(rows)[1].split(",")[-1] == "conservative"
 
     def test_csv_lines(self, tmp_path):
         rows = [

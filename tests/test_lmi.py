@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from hardstab.lmi import (
-    _BarrierState,
-    bisect_largest_m,
-    build_costab_lmi,
-    check_feasible,
-)
+from hardstab import lmi
+from hardstab.lmi import bisect_largest_m, build_costab_lmi, check_feasible
 from hardstab.synthesis import is_stabilizing
 from hardstab.systems import HardFamilyParams, make_hard_pair
 
@@ -16,21 +12,21 @@ PARAMS2 = HardFamilyParams(n=2, r=3.2, v=1.01)
 @pytest.fixture(scope="module")
 def golden_runs():
     """The v = 1.01 sweep's bisections at n = 2, 3 and 4, run once, each with
-    the number of barrier evaluations it made."""
+    the path-following iterations its probes reported."""
     runs = {}
-    evaluations = [0]
-    barrier_value = _BarrierState._barrier_value
+    reported = []
 
-    def counted(self, x, level):
-        evaluations[0] += 1
-        return barrier_value(self, x, level)
+    def counted(*args, **kwargs):
+        outcome = check_feasible(*args, **kwargs)
+        reported.append(outcome.iterations)
+        return outcome
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_BarrierState, "_barrier_value", counted)
+        patch.setattr(lmi, "check_feasible", counted)
         for n in (2, 3, 4):
-            evaluations[0] = 0
+            reported.clear()
             result = bisect_largest_m(HardFamilyParams(n=n, r=3.2, v=1.01), tolerance=1e-3)
-            runs[n] = (result, evaluations[0])
+            runs[n] = (result, sum(reported))
     return runs
 
 
@@ -111,6 +107,7 @@ class TestCheckFeasible:
     def test_m_zero_feasible(self):
         cert = check_feasible(build_costab_lmi(make_hard_pair(PARAMS2, 0.0)))
         assert cert.feasible
+        assert cert.iterations > 0
         truth = make_hard_pair(PARAMS2, 0.0)
         assert is_stabilizing(truth.s1, cert.recovered_k).stable
 
@@ -123,6 +120,24 @@ class TestCheckFeasible:
         out = check_feasible(build_costab_lmi(make_hard_pair(PARAMS2, theorem_m)))
         assert not out.feasible
         assert out.status == "infeasible"
+        assert 0 < out.gap <= lmi._GAP_CLOSED
+        assert out.best_margin <= 0
+        assert out.iterations > 0
+
+    @pytest.mark.parametrize("v", [1.01, 1.09])
+    @pytest.mark.parametrize("n", [9, 10, 11])
+    def test_cold_start_certifies_m_zero(self, n, v):
+        params = HardFamilyParams(n=n, r=3.2, v=v)
+        cert = check_feasible(build_costab_lmi(make_hard_pair(params, 0.0)))
+        assert cert.feasible
+
+    def test_re_preconditioning_round_certifies_n11(self, monkeypatch):
+        # the cold round alone closes its gap at t ~ -4e-11; the round
+        # re-centred on its last iterate certifies at t ~ 0.07
+        params = HardFamilyParams(n=11, r=3.2, v=1.01)
+        monkeypatch.setattr(lmi, "_MAX_ROUNDS", 1)
+        out = check_feasible(build_costab_lmi(make_hard_pair(params, 0.0)))
+        assert not out.feasible and out.status == "infeasible"
 
     def test_verified_margins_reported(self):
         cert = check_feasible(build_costab_lmi(make_hard_pair(PARAMS2, 0.1)))
@@ -187,13 +202,11 @@ class TestBisection:
             + [feasible] * 2 + [infeasible] * 2 + [feasible, infeasible]
         )
 
-    def test_centering_ends_at_the_rounding_floor(self, golden_runs):
-        # backtracking stops once its decrease demand is below the barrier
-        # value's rounding: the n = 2 bisection makes about 3,100 barrier
-        # evaluations, against about 25,000 when noise-level line searches
-        # ran on to the Newton step limit
-        _, evaluations = golden_runs[2]
-        assert evaluations < 6000
+    def test_path_following_work(self, golden_runs):
+        # the n = 2 bisection's 14 probes report 82 path-following
+        # iterations in all
+        _, iterations = golden_runs[2]
+        assert iterations <= 120
 
     def test_n2_boundary(self, golden_bisections):
         result = golden_bisections[2]
