@@ -90,7 +90,7 @@ def kl_upper_bound(horizon: int, m: float, sigma_u2: float, sigma_w2: float) -> 
 
 
 # Cap on the float64 stream draws kl_monte_carlo holds at once (64 KiB): a
-# chunk of open-loop trials of at most this many draws, but at least one trial.
+# chunk of trials of at most this many draws, but at least one trial.
 # The chunk and its log-ratio temporaries add to peak memory; 2**14 measurably
 # raised it, 2**13 did not and was as fast.
 _CHUNK_ELEMENTS = 1 << 13
@@ -116,9 +116,15 @@ def kl_monte_carlo(
     differs between the siblings, so the ratio reduces to the residual form
     ((w - m u)^2 - w^2) / (2 sigma_w^2) summed over steps.  Trial i draws
     from stream index rng.stream + i, so the estimate is deterministic given
-    the rng's (seed, stream).  Open-loop policies read those streams through
-    one Prng.streams() iterator, a chunk of consecutive trials at a time,
-    and compute each chunk's ratios in one array expression.
+    the rng's (seed, stream).  Trials are taken a chunk of consecutive
+    trials at a time, and each chunk's ratios are computed in one array
+    expression.  Open-loop policies read the chunk's streams through one
+    Prng.streams() iterator; a custom policy rolls the chunk out in lockstep
+    through one simulate() call, each trial on its own Prng, so the
+    estimate is bit for bit what one simulate() call per trial gives.  A
+    trial whose state leaves simulate()'s divergence guard (including a
+    non-finite state) raises DivergedTrajectoryError at the first step at
+    which any trial of its chunk does.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
@@ -129,22 +135,24 @@ def kl_monte_carlo(
         raise ValueError("horizon must be >= 1")
 
     m = pair.m
+    n = pair.s1.n
+    sigma_w = math.sqrt(sigma_w2)
+    streams = rng.streams(trials)
+    per_chunk = max(1, _CHUNK_ELEMENTS // (horizon * (n + 1)))
     log_ratios = np.empty(trials)
-    if policy.kind == "custom":
-        for i in range(trials):
-            traj = simulate(pair.s1, policy, horizon, rng.spawn(rng.stream + i))
+    for start in range(0, trials, per_chunk):
+        count = min(per_chunk, trials - start)
+        if policy.kind == "custom":
+            chunk = [rng.spawn(rng.stream + i) for i in range(start, start + count)]
+            trajectories = simulate(pair.s1, policy, horizon, chunk)
+            u = np.array([traj.inputs for traj in trajectories])
             # b1 = 0 under s1, so the residuals are the noise w1
-            log_ratios[i] = _log_ratios(m, traj.inputs, traj.first_coord_residuals, sigma_w2)
-    else:
-        # state feedback never enters the ratio, so states need not be formed
-        sigma_w = math.sqrt(sigma_w2)
-        streams = rng.streams(trials)
-        per_chunk = max(1, _CHUNK_ELEMENTS // (horizon * (pair.s1.n + 1)))
-        for start in range(0, trials, per_chunk):
-            count = min(per_chunk, trials - start)
-            u, draws = policy.open_loop(streams, count, horizon, pair.s1.n)
+            w1 = np.array([traj.first_coord_residuals for traj in trajectories])
+        else:
+            # state feedback never enters the ratio, so states need not be formed
+            u, draws = policy.open_loop(streams, count, horizon, n)
             w1 = sigma_w * draws[:, :, 0]
-            log_ratios[start : start + count] = _log_ratios(m, u, w1, sigma_w2)
+        log_ratios[start : start + count] = _log_ratios(m, u, w1, sigma_w2)
 
     estimate = float(np.mean(log_ratios))
     std_error = float(np.std(log_ratios, ddof=1) / math.sqrt(trials))

@@ -12,7 +12,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,11 +30,17 @@ class NoExcitationError(RuntimeError):
 
 
 class DivergedTrajectoryError(RuntimeError):
-    """State magnitude exceeded the divergence guard during simulation."""
+    """A state left the divergence guard (magnitude above DIVERGENCE_LIMIT,
+    or not finite) during simulation; ``seed_record`` is the (seed, stream)
+    of the trial whose state did."""
 
-    def __init__(self, step: int):
+    def __init__(self, step: int, seed_record: tuple[int, int]):
         self.step = step
-        super().__init__(f"trajectory diverged (|state| > {DIVERGENCE_LIMIT:g}) at step {step}")
+        self.seed_record = seed_record
+        super().__init__(
+            f"trajectory of stream {seed_record} diverged "
+            f"(|state| > {DIVERGENCE_LIMIT:g} or not finite) at step {step}"
+        )
 
 
 @dataclass(frozen=True)
@@ -248,55 +254,75 @@ class Trajectory:
         return len(self.inputs)
 
 
-def simulate(sys: LtiSystem, policy: InputPolicy, horizon: int, rng: Prng) -> Trajectory:
+def simulate(
+    sys: LtiSystem, policy: InputPolicy, horizon: int, rng: Union[Prng, Sequence[Prng]]
+) -> Union[Trajectory, list[Trajectory]]:
     """Roll the dynamics forward from x_0 = 0 for ``horizon`` steps.
 
-    Per step the stream is consumed in a fixed order (the policy's input
-    draws first, then the n noise coordinates; see InputPolicy.open_loop),
-    so a longer simulation's prefix matches a shorter one on the same stream
-    bitwise.
+    ``rng`` is one Prng, which gives one Trajectory, or a sequence of them,
+    which gives one Trajectory per stream, each bit for bit what a separate
+    call on that stream returns.  A sequence is rolled out in lockstep: per
+    step, every trial's input and noise are drawn in turn (a custom history
+    map is called once per trial, with that trial's own history and
+    generator, so it must not carry state between calls), then the whole
+    stack's states are updated and guarded at once.  Per step each stream
+    is consumed in a fixed order (the policy's input draws first, then the
+    n noise coordinates; see InputPolicy.open_loop), so a longer
+    simulation's prefix matches a shorter one on the same stream bitwise.
+
+    DivergedTrajectoryError is raised at the first step at which any trial's
+    state is not finite or exceeds DIVERGENCE_LIMIT in magnitude, naming
+    the first such trial's stream.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    single = isinstance(rng, Prng)
+    rngs = (rng,) if single else tuple(rng)
+    count = len(rngs)
     n = sys.n
     sigma_w = float(np.sqrt(sys.noise_variance))
     b_col = sys.b.ravel()
-    b1 = float(b_col[0])
-    gen = rng.generator
+    generators = [r.generator for r in rngs]
 
-    states = np.zeros((horizon + 1, n))
+    states = np.zeros((count, horizon + 1, n))
     custom = policy.kind == "custom"
     if custom:
         if policy.history_map is None:
             raise ValueError("custom policy requires a history map")
-        inputs = np.zeros(horizon)
-        first_noise = np.zeros(horizon)
+        inputs = np.zeros((count, horizon))
+        noise = np.empty((count, horizon, n))
     else:
-        inputs, draws = policy.open_loop((gen,), 1, horizon, n)
-        inputs, noise = inputs[0], sigma_w * draws[0]
-        first_noise = noise[:, 0]
+        inputs, draws = policy.open_loop(generators, count, horizon, n)
+        noise = sigma_w * draws
 
-    x = states[0]
+    x = states[:, 0]
     for t in range(horizon):
         if custom:
             # the input may depend on the history, so it is drawn step by step
-            u = inputs[t] = float(policy.history_map(t, inputs[:t], states[: t + 1], gen))
-            w = sigma_w * gen.standard_normal(n)
-            first_noise[t] = w[0]
-        else:
-            u, w = inputs[t], noise[t]
-        x = sys.a @ x + b_col * u + w
-        if np.max(np.abs(x)) > DIVERGENCE_LIMIT:
-            raise DivergedTrajectoryError(t + 1)
-        states[t + 1] = x
+            for gen, u, xs, w in zip(generators, inputs, states, noise):
+                u[t] = float(policy.history_map(t, u[:t], xs[: t + 1], gen))
+                gen.standard_normal(out=w[t])
+            noise[:, t] *= sigma_w
+        # stacked matrix-vector products round as a @ x does for one state
+        # (x @ a.T, a matrix product, does not for n >= 2)
+        x = np.matmul(sys.a, x[:, :, None])[:, :, 0] + b_col * inputs[:, t, None] + noise[:, t]
+        guarded = np.abs(x) <= DIVERGENCE_LIMIT
+        if not guarded.all():
+            first = int(np.argmin(guarded.all(axis=1)))
+            raise DivergedTrajectoryError(t + 1, (rngs[first].seed, rngs[first].stream))
+        states[:, t + 1] = x
 
-    residuals = b1 * inputs + first_noise
-    return Trajectory(
-        inputs=inputs,
-        states=states,
-        seed_record=(rng.seed, rng.stream),
-        first_coord_residuals=residuals,
-    )
+    residuals = b_col[0] * inputs + noise[:, :, 0]
+    trajectories = [
+        Trajectory(
+            inputs=inputs[i],
+            states=states[i],
+            seed_record=(r.seed, r.stream),
+            first_coord_residuals=residuals[i],
+        )
+        for i, r in enumerate(rngs)
+    ]
+    return trajectories[0] if single else trajectories
 
 
 def ls_estimate_b1(traj: Trajectory, params: HardFamilyParams) -> float:

@@ -13,7 +13,13 @@ from hardstab.bounds import (
     kl_upper_bound,
 )
 from hardstab.numerics import Prng
-from hardstab.systems import HardFamilyParams, InputPolicy, make_hard_pair, simulate
+from hardstab.systems import (
+    DivergedTrajectoryError,
+    HardFamilyParams,
+    InputPolicy,
+    make_hard_pair,
+    simulate,
+)
 
 PARAMS2 = HardFamilyParams(n=2, r=3.2, v=1.01)
 
@@ -76,16 +82,23 @@ class TestKlMonteCarlo:
 
     @pytest.mark.parametrize(
         "policy",
-        [InputPolicy.iid_gaussian(32.0), InputPolicy.zero(), InputPolicy.impulse(3, 1.5)],
-        ids=["iid-gaussian", "zero", "impulse"],
+        [
+            InputPolicy.iid_gaussian(32.0),
+            InputPolicy.zero(),
+            InputPolicy.impulse(3, 1.5),
+            InputPolicy.custom(lambda t, u, x, gen: math.sqrt(32.0) * gen.standard_normal()),
+        ],
+        ids=["iid-gaussian", "zero", "impulse", "custom-gaussian"],
     )
     def test_open_loop_path_matches_simulate(self, policy, monkeypatch):
         # the estimator reads trial i's stream Prng(s, k + i) exactly as
-        # simulate() does, so the log-ratio mean is the same bit for bit,
-        # whatever the chunking: a trial here is 12 steps x 3 draws = 36
-        # elements, so the default cap (2**13) puts all 150 trials in one
-        # chunk, a cap of 1 gives one trial per chunk and 7 * 36 + 5 gives
-        # 7 trials per chunk (150 = 21 * 7 + 3)
+        # one simulate() call per trial does (the open-loop policies through
+        # Prng.streams, the custom one through a stacked simulate() call),
+        # so the log-ratio mean is the same bit for bit, whatever the
+        # chunking: a trial here is 12 steps x 3 draws = 36 elements, so the
+        # default cap (2**13) puts all 150 trials in one chunk, a cap of 1
+        # gives one trial per chunk and 7 * 36 + 5 gives 7 trials per chunk
+        # (150 = 21 * 7 + 3)
         pair = make_hard_pair(PARAMS2, 0.05, noise_variance=0.005)
         seed, first, horizon, trials = 17, 40, 12, 150
         log_ratios = np.empty(trials)
@@ -99,6 +112,15 @@ class TestKlMonteCarlo:
             report = kl_monte_carlo(pair, policy, horizon, trials, Prng(seed, first))
             assert report.mc_estimate == float(np.mean(log_ratios))
             assert report.mc_std_error == float(np.std(log_ratios, ddof=1) / math.sqrt(trials))
+
+    def test_non_finite_custom_input_is_an_error(self):
+        # a NaN input must stop the estimate, not turn it into NaN
+        pair = make_hard_pair(PARAMS2, 0.05, noise_variance=0.005)
+        policy = InputPolicy.custom(lambda t, u, x, gen: float("nan") if t == 3 else 1.0)
+        with pytest.raises(DivergedTrajectoryError) as err:
+            kl_monte_carlo(pair, policy, 10, 200, Prng(7, 30))
+        assert err.value.step == 4
+        assert err.value.seed_record == (7, 30)
 
     def test_trial_floor(self):
         pair = make_hard_pair(PARAMS2, 0.05, noise_variance=0.005)

@@ -125,6 +125,33 @@ class TestSimulate:
             simulate(sys_, policy, 100, Prng(0))
         assert err.value.step >= 1
 
+    def test_non_finite_state_is_rejected_where_it_appears(self):
+        # NaN compares False with the limit, so the guard must test finiteness
+        pair = make_hard_pair(PARAMS2, 0.0, noise_variance=0.005)
+        policy = InputPolicy.custom(lambda t, u, x, gen: float("nan") if t == 3 else 0.0)
+        with pytest.raises(DivergedTrajectoryError, match=r"stream \(6, 2\)") as err:
+            simulate(pair.s1, policy, 10, Prng(6, 2))
+        assert err.value.step == 4
+        assert err.value.seed_record == (6, 2)
+
+    def test_stack_divergence_names_the_first_diverging_trial(self):
+        pair = make_hard_pair(PARAMS2, 0.0, noise_variance=0.005)
+        rngs = [Prng(6, 1), Prng(6, 2), Prng(6, 3), Prng(6, 4)]
+        late, early = rngs[1].generator, rngs[2].generator
+
+        # trial 1 leaves the guard at step 3, trial 2 already at step 2
+        def history_map(t, u, x, gen):
+            if gen is late and t == 2:
+                return 1e301
+            if gen is early and t == 1:
+                return float("nan")
+            return 0.0
+
+        with pytest.raises(DivergedTrajectoryError) as err:
+            simulate(pair.s1, InputPolicy.custom(history_map), 10, rngs)
+        assert err.value.step == 2
+        assert err.value.seed_record == (6, 3)
+
     def test_noise_only_variance(self):
         pair = make_hard_pair(PARAMS2, 0.0, noise_variance=0.005)
         first_states = []
@@ -150,6 +177,41 @@ class TestSimulate:
         np.testing.assert_array_equal(custom.inputs, iid.inputs)
         np.testing.assert_array_equal(custom.states, iid.states)
         np.testing.assert_array_equal(custom.first_coord_residuals, iid.first_coord_residuals)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            InputPolicy.zero(),
+            InputPolicy.impulse(2, 1.5),
+            InputPolicy.iid_gaussian(32.0),
+            # reads its own trial's last state, so a wrong history view shows
+            InputPolicy.custom(
+                lambda t, u, x, gen: -0.1 * x[-1][0] + np.sqrt(32.0) * gen.standard_normal()
+            ),
+        ],
+        ids=["zero", "impulse", "iid-gaussian", "custom-feedback"],
+    )
+    def test_stack_rows_match_separate_calls(self, policy, n):
+        sys_ = LtiSystem(*hard_matrices(n, 3.2, 1.01, 0.02), noise_variance=0.005)
+        rngs = [Prng(11, stream) for stream in (3, 4, 5, 9, 2**64 - 1)]
+        stack = simulate(sys_, policy, 25, rngs)
+        assert len(stack) == len(rngs)
+        for rng, row in zip(rngs, stack):
+            single = simulate(sys_, policy, 25, Prng(rng.seed, rng.stream))
+            assert row.seed_record == single.seed_record == (rng.seed, rng.stream)
+            np.testing.assert_array_equal(row.inputs, single.inputs)
+            np.testing.assert_array_equal(row.states, single.states)
+            np.testing.assert_array_equal(row.first_coord_residuals, single.first_coord_residuals)
+
+    def test_one_prng_gives_one_trajectory(self):
+        pair = make_hard_pair(PARAMS2, 0.0, noise_variance=0.005)
+        policy = InputPolicy.iid_gaussian(32.0)
+        single = simulate(pair.s1, policy, 6, Prng(3, 1))
+        (row,) = simulate(pair.s1, policy, 6, [Prng(3, 1)])
+        assert single.states.shape == (7, 2) and single.inputs.shape == (6,)
+        np.testing.assert_array_equal(single.states, row.states)
+        assert simulate(pair.s1, policy, 6, []) == []
 
 
 class TestInputPolicy:
@@ -237,12 +299,9 @@ class TestLsEstimate:
     def test_unbiasedness_monte_carlo(self):
         pair = make_hard_pair(PARAMS2, 0.1, noise_variance=0.005)
         policy = InputPolicy.iid_gaussian(32.0)
-        estimates = np.array(
-            [
-                ls_estimate_b1(simulate(pair.s2, policy, 100, Prng(444, k)), PARAMS2)
-                for k in range(10_000)
-            ]
-        )
+        # one stacked rollout; each row is what simulate(..., Prng(444, k)) gives
+        trajectories = simulate(pair.s2, policy, 100, [Prng(444, k) for k in range(10_000)])
+        estimates = np.array([ls_estimate_b1(traj, PARAMS2) for traj in trajectories])
         std_error = estimates.std(ddof=1) / np.sqrt(len(estimates))
         assert abs(estimates.mean() - 0.1) <= 3 * std_error
 
