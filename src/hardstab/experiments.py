@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Generator, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -118,55 +118,44 @@ class _CeDecision:
         return stable if np.ndim(b1_hat) else bool(stable[0])
 
 
-def _stable_edge(center: float, step: float) -> Generator[float, bool, float]:
-    """Search for the farthest stable estimate from the stable truth
-    ``center`` in the direction of ``step``, as a generator that yields each
-    estimate to decide and is sent its decision: double the offset from the
-    truth while it stays stable (up to 1e6), then bisect between the last
-    stable and the first unstable estimate until their midpoint rounds to
-    one of them (at most 60 times).  Returns the edge; no estimate is
-    decided twice."""
-    stable, offset = center, step
-    while (yield center + offset):
-        stable, offset = center + offset, 2 * offset
-        if abs(offset) > 1e6:
-            break
-    unstable = center + offset
-    for _ in range(60):
-        mid = 0.5 * (stable + unstable)
-        if mid == stable or mid == unstable:
-            break
-        if (yield mid):
-            stable = mid
-        else:
-            unstable = mid
-    return stable
+# The interval search's doubling ladder: offsets 1e-6 * 2^j from the truth.
+# Rungs up to 1e6 (j < 40) are decided; the last rung, past 1e6, counts as
+# unstable without a decision.
+_LADDER = 1e-6 * 2.0 ** np.arange(41)
+# Bisection steps per edge; with a nonzero truth and an edge near 0 the
+# bracket can halve far more often before its midpoint rounds to an end
+_MAX_BISECTIONS = 60
 
 
-def _stability_interval(
-    decide: _CeDecision, center: float, scale: float
-) -> tuple[float, float]:
+def _stability_interval(decide: _CeDecision, center: float) -> tuple[float, float]:
     """Connected component (lo, hi) of the stable estimate set around the
-    truth ``center``, located by doubling expansion and bisection; (center,
-    center) when the truth itself does not stabilize.  The two edges are
-    searched in lockstep: each call decides the next estimate of every side
-    still searching, as one stack, so each side sees the decisions it would
-    see alone."""
+    truth ``center``; (center, center) when the truth itself does not
+    stabilize.
+
+    One stack decides the doubling ladder center -/+ _LADDER on both sides;
+    on each side the last stable rung (or the truth) and the first unstable
+    rung bracket the edge.  Both brackets are then bisected in lockstep, each
+    step deciding one midpoint per side as one stack, until a side's
+    midpoint rounds to one of its ends.  Each decision depends only on its
+    estimate, so each edge is the one a side searched alone would find, and
+    no estimate is decided twice."""
     if not decide(center):
         return (center, center)
-    searches = [_stable_edge(center, -scale), _stable_edge(center, scale)]
-    pending = {side: next(search) for side, search in enumerate(searches)}
-    edges = [center, center]
-    while pending:
-        sides = list(pending)
-        stable = decide(np.array([pending[side] for side in sides]))
-        for side, verdict in zip(sides, stable):
-            try:
-                pending[side] = searches[side].send(bool(verdict))
-            except StopIteration as done:
-                edges[side] = done.value
-                del pending[side]
-    return (edges[0], edges[1])
+    sides = np.arange(2)
+    ladder = center + np.outer([-1.0, 1.0], _LADDER)
+    climbed = decide(ladder[:, :-1].ravel()).reshape(2, -1).cumprod(axis=1).sum(axis=1)
+    stable = np.where(climbed > 0, ladder[sides, climbed - 1], center)
+    unstable = ladder[sides, climbed]
+    for _ in range(_MAX_BISECTIONS):
+        mid = 0.5 * (stable + unstable)
+        searching = np.flatnonzero((mid != stable) & (mid != unstable))
+        if not searching.size:
+            break
+        moved = mid[searching]
+        verdicts = decide(moved)
+        stable[searching[verdicts]] = moved[verdicts]
+        unstable[searching[~verdicts]] = moved[~verdicts]
+    return (float(stable[0]), float(stable[1]))
 
 
 # Successive trajectory lengths the search stops at grow by this factor
@@ -240,7 +229,7 @@ def _run_ce_lqr_single(config: CeLqrConfig, n: int) -> CeLqrRow:
     t0 = time.perf_counter()
     params = HardFamilyParams(n=n, r=config.r, v=config.v, b1=config.true_b1)
     decide = _CeDecision(params)
-    lower, upper = _stability_interval(decide, params.b1, scale=1e-6)
+    lower, upper = _stability_interval(decide, params.b1)
 
     trials = config.trials
     threshold = config.success_threshold

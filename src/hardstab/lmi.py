@@ -469,6 +469,8 @@ def bisect_largest_m(
     common gain at all, so it is infeasible without solving.  Probes treat an
     inconclusive solver status as infeasible and flag the result as
     conservative.  The feasible endpoint's certificate warm-starts each probe.
+    The bisection stops at the relative tolerance, or earlier once the
+    midpoint rounds to an end of the bracket.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -489,6 +491,8 @@ def bisect_largest_m(
     iterations = 0
     while hi - lo > tolerance * max(lo, theorem_m * 1e-9):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # the bracket cannot shrink further
+            break
         problem = build_costab_lmi(make_hard_pair(params, mid))
         outcome = check_feasible(problem, warm_start=(certificate.q, certificate.y))
         iterations += 1

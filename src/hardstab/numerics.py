@@ -204,6 +204,8 @@ def characteristic_polynomial(m) -> np.ndarray:
 
 
 _DARE_MAX_ITERATIONS = 100_000
+# Absolute Riccati residual every solve accepts
+_DARE_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -270,7 +272,6 @@ def solve_dare(
     b,
     q,
     r,
-    tolerance: float = 1e-9,
     rel_tolerance: float = 0.0,
 ) -> DareSolution | DareStack:
     """Fixed-point iteration P <- A'PA - A'PB(R + B'PB)^-1 B'PA + Q from P0 = Q.
@@ -279,7 +280,7 @@ def solve_dare(
     that share a, q and r; the whole stack runs through one loop.
 
     Success means the float64 residual ||P - f(P)||_F fell below
-    max(tolerance, rel_tolerance * ||P||_F); rounding noise makes the plain
+    max(1e-9, rel_tolerance * ||P||_F); rounding noise makes the plain
     1e-9 floor unreachable once ||P|| is large, so callers handling badly
     scaled systems pass a relative tolerance.  The default contract is the
     absolute tolerance alone (rel_tolerance = 0).
@@ -330,7 +331,7 @@ def solve_dare(
             gain_part, singular = _solve_each(r + btp @ b, btp @ a)
             p_next = a.T @ p @ a - (a.T @ btp.transpose(0, 2, 1)) @ gain_part + q
             residual = _frobenius(p_next - p)
-            threshold = np.maximum(tolerance, rel_tolerance * _frobenius(p_next))
+            threshold = np.maximum(_DARE_TOLERANCE, rel_tolerance * _frobenius(p_next))
             improved = residual < 0.999 * best_residual
             np.copyto(best_residual, residual, where=improved)
             stall += 1

@@ -49,6 +49,29 @@ def _direct_rate(config, n, length):
     return stable / config.trials
 
 
+def _one_sided_edge(decide, center, step):
+    """Reference search for one edge, one decision per call: double the
+    offset from the stable truth while it stays stable (deciding offsets up
+    to 1e6; the next counts as unstable), then bisect between the last
+    stable and the first unstable estimate until the midpoint rounds to one
+    of them, at most 60 times."""
+    stable, offset = center, step
+    while decide(center + offset):
+        stable, offset = center + offset, 2 * offset
+        if abs(offset) > 1e6:
+            break
+    unstable = center + offset
+    for _ in range(60):
+        mid = 0.5 * (stable + unstable)
+        if mid == stable or mid == unstable:
+            break
+        if decide(mid):
+            stable = mid
+        else:
+            unstable = mid
+    return stable
+
+
 class TestCeLqrConfig:
     def test_defaults_match_reference_experiment(self):
         config = CeLqrConfig()
@@ -83,17 +106,16 @@ class TestStabilityInterval:
             decided.extend(np.ravel(b1_hat).tolist())
             return decide(b1_hat)
 
-        lower, upper = experiments._stability_interval(recording, 0.0, scale=1e-6)
+        lower, upper = experiments._stability_interval(recording, 0.0)
         assert len(decided) == len(set(decided))
         assert lower < 0.0 < upper
         assert decide(lower) and decide(upper)
         assert not decide(np.nextafter(lower, -np.inf))
         assert not decide(np.nextafter(upper, np.inf))
 
-    def test_edges_are_searched_in_lockstep(self):
-        # each call decides the next estimate of both sides as one stack, so
-        # the search makes one call per decision of its longer side, plus
-        # the call that decides the truth
+    def test_ladder_is_one_stack_and_bisections_step_in_lockstep(self):
+        # the truth, then one call for the whole doubling ladder of both
+        # sides, then one midpoint per side still bisecting in each call
         decide = experiments._CeDecision(HardFamilyParams(n=4, r=3.2, v=1.01))
         calls = []
 
@@ -101,20 +123,46 @@ class TestStabilityInterval:
             calls.append(np.atleast_1d(b1_hat).copy())
             return decide(b1_hat)
 
-        experiments._stability_interval(recording, 0.0, scale=1e-6)
-        decided = np.concatenate(calls)
-        below = np.count_nonzero(decided < 0.0)
-        above = np.count_nonzero(decided > 0.0)
-        assert len(calls) <= max(below, above) + 1
-        for call in calls:
+        experiments._stability_interval(recording, 0.0)
+        truth, ladder, *bisections = calls
+        np.testing.assert_array_equal(truth, [0.0])
+        assert 0 < np.count_nonzero(ladder < 0.0) <= 40
+        assert 0 < np.count_nonzero(ladder > 0.0) <= 40
+        assert np.abs(ladder).max() <= 1e6
+        for call in bisections:
             assert np.count_nonzero(call < 0.0) <= 1 and np.count_nonzero(call > 0.0) <= 1
+        longer = max(
+            sum(np.count_nonzero(call < 0.0) for call in bisections),
+            sum(np.count_nonzero(call > 0.0) for call in bisections),
+        )
+        assert len(calls) <= 2 + longer
+
+    @pytest.mark.parametrize("n, b1", [(n, 0.0) for n in range(2, 9)] + [(2, 0.2), (3, 0.2)])
+    def test_edges_match_a_one_sided_search(self, n, b1):
+        # each edge is the float that a plain search of that side alone finds
+        decide = experiments._CeDecision(HardFamilyParams(n=n, r=3.2, v=1.01, b1=b1))
+        lower, upper = experiments._stability_interval(decide, b1)
+        assert lower.hex() == _one_sided_edge(decide, b1, -1e-6).hex()
+        assert upper.hex() == _one_sided_edge(decide, b1, 1e-6).hex()
+
+    def test_ladder_reaches_1e6_and_no_further(self):
+        # a stable set wider than the ladder: the left edge stops just inside
+        # the undecided rung -1e-6 * 2^40, as the one-sided search does
+        def decide(b1_hat):
+            inside = (np.asarray(b1_hat) > -3e6) & (np.asarray(b1_hat) < 7e5)
+            return inside if np.ndim(b1_hat) else bool(inside)
+
+        lower, upper = experiments._stability_interval(decide, 0.0)
+        assert lower.hex() == _one_sided_edge(decide, 0.0, -1e-6).hex()
+        assert upper.hex() == _one_sided_edge(decide, 0.0, 1e-6).hex()
+        assert -1e-6 * 2**40 < lower < -1e6
 
     def test_interval_around_a_nonzero_truth(self):
         # the estimate 0 does not stabilize the truth b1 = 0.2; the search
         # starts from the truth
         params = HardFamilyParams(n=3, r=3.2, v=1.01, b1=0.2)
         decide = experiments._CeDecision(params)
-        lower, upper = experiments._stability_interval(decide, params.b1, scale=1e-6)
+        lower, upper = experiments._stability_interval(decide, params.b1)
         assert not decide(0.0)
         assert lower < 0.2 < upper
         assert decide(lower) and decide(upper)
@@ -127,7 +175,7 @@ class TestStabilityInterval:
         # stable estimates form one interval; rounding may flip decisions
         # within a few ulps of an edge, so those points are not judged
         decide = experiments._CeDecision(HardFamilyParams(n=n, r=3.2, v=1.01))
-        lower, upper = experiments._stability_interval(decide, 0.0, scale=1e-6)
+        lower, upper = experiments._stability_interval(decide, 0.0)
         width = upper - lower
         scan = np.linspace(lower - width / 2, upper + width / 2, 801)
         decided = np.array([decide(float(b1_hat)) for b1_hat in scan])
@@ -233,7 +281,8 @@ class TestRunCeLqr:
     def test_synthesis_failures_count_the_direct_check(self, monkeypatch):
         # synthesis_failures is read from the failure masks of the direct
         # check's two stacked calls; failures while the interval is searched
-        # (calls of one or two estimates) are not trial decisions
+        # (the ladder stack of 80 estimates, then stacks of one or two) are not
+        # trial decisions
         def failing_gain(params, b1_hat):
             gains, failed = ce_lqr_gain(params, b1_hat)
             if failed.size == config.trials:
@@ -259,8 +308,8 @@ class TestRunCeLqr:
         # direct synthesis measures at the N the model chose
         real = experiments._stability_interval
 
-        def narrowed(decide, center, scale):
-            lower, upper = real(decide, center, scale)
+        def narrowed(decide, center):
+            lower, upper = real(decide, center)
             return (0.5 * lower, 0.5 * upper)
 
         monkeypatch.setattr(experiments, "_stability_interval", narrowed)

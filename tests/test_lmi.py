@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from hardstab import lmi
-from hardstab.lmi import bisect_largest_m, build_costab_lmi, check_feasible
+from hardstab.lmi import InfeasibleReport, bisect_largest_m, build_costab_lmi, check_feasible
 from hardstab.synthesis import is_stabilizing
 from hardstab.systems import HardFamilyParams, make_hard_pair
 
@@ -228,6 +230,26 @@ class TestBisection:
         feasible = [m for m, s in result.trace if s == "feasible"]
         infeasible = [m for m, s in result.trace if s != "feasible"]
         assert max(feasible) < min(infeasible)
+
+    def test_bisection_stops_once_the_bracket_cannot_shrink(self, monkeypatch):
+        # a tolerance below float resolution: the bisection ends when the
+        # midpoint rounds to an end, without repeating a probe
+        probed = []
+
+        def boundary_at_one_tenth(problem, warm_start=None):
+            m = float(problem.b2[0, 0] - problem.b1[0, 0])
+            probed.append(m)
+            if m <= 0.1:
+                return SimpleNamespace(feasible=True, q=None, y=None, status="feasible")
+            return InfeasibleReport(best_margin=-1.0, status="infeasible")
+
+        monkeypatch.setattr(lmi, "check_feasible", boundary_at_one_tenth)
+        result = bisect_largest_m(PARAMS2, tolerance=1e-300)
+        assert len(probed) == len(set(probed))
+        assert len(probed) < 70
+        lo, hi = result.bracket
+        assert lo <= 0.1 < hi and np.nextafter(lo, np.inf) == hi
+        assert result.status == "ok"
 
     def test_n3_below_sup_bound(self):
         params = HardFamilyParams(n=3, r=3.2, v=1.01)
