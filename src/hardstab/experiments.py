@@ -125,6 +125,30 @@ _LADDER = 1e-6 * 2.0 ** np.arange(41)
 # Bisection steps per edge; with a nonzero truth and an edge near 0 the
 # bracket can halve far more often before its midpoint rounds to an end
 _MAX_BISECTIONS = 60
+# Levels of each edge's bisection subtree decided per Riccati stack: 15
+# estimates per side, of which the bisection takes at most 4.  A stack costs
+# its slowest estimate's passes, so deeper trees save stacks until the
+# extra estimates' work outweighs them (on a 2-core Xeon, depths 3 and 4
+# timed alike over n = 2..6, and 5 and 6 slower).
+_SUBTREE_DEPTH = 4
+
+
+def _bisection_subtrees(stable: np.ndarray, unstable: np.ndarray, depth: int) -> np.ndarray:
+    """Midpoints of the bisection subtree of ``depth`` levels below each
+    bracket (stable[k], unstable[k]), one row per bracket in heap order:
+    node i splits its bracket at 0.5 * (stable + unstable), and its children
+    2i + 1 and 2i + 2 hold the brackets that a stable and an unstable
+    verdict leave.  A node whose midpoint rounds to one of its ends is NaN,
+    and so is every node below it."""
+    s, u = stable[:, None], unstable[:, None]
+    levels = []
+    for _ in range(depth):
+        mid = 0.5 * (s + u)
+        mid[(mid == s) | (mid == u)] = np.nan
+        levels.append(mid)
+        s = np.stack([mid, s], axis=2).reshape(len(stable), -1)
+        u = np.stack([u, mid], axis=2).reshape(len(stable), -1)
+    return np.concatenate(levels, axis=1)
 
 
 def _stability_interval(decide: _CeDecision, center: float) -> tuple[float, float]:
@@ -134,11 +158,15 @@ def _stability_interval(decide: _CeDecision, center: float) -> tuple[float, floa
 
     One stack decides the doubling ladder center -/+ _LADDER on both sides;
     on each side the last stable rung (or the truth) and the first unstable
-    rung bracket the edge.  Both brackets are then bisected in lockstep, each
-    step deciding one midpoint per side as one stack, until a side's
-    midpoint rounds to one of its ends.  Each decision depends only on its
-    estimate, so each edge is the one a side searched alone would find, and
-    no estimate is decided twice."""
+    rung bracket the edge.  Each later stack decides, for both sides at
+    once, every midpoint of the bisection subtree _SUBTREE_DEPTH levels
+    below the side's bracket; each side then walks down the path its
+    verdicts pick, which is the run of midpoints a plain bisection would
+    decide, until a midpoint rounds to one of its ends or the side has
+    taken _MAX_BISECTIONS steps.  Each decision depends only on its
+    estimate, so each edge is the one a side searched alone would find.
+    The nodes off a side's path lie outside its final bracket, so no
+    estimate is decided twice."""
     if not decide(center):
         return (center, center)
     sides = np.arange(2)
@@ -146,15 +174,20 @@ def _stability_interval(decide: _CeDecision, center: float) -> tuple[float, floa
     climbed = decide(ladder[:, :-1].ravel()).reshape(2, -1).cumprod(axis=1).sum(axis=1)
     stable = np.where(climbed > 0, ladder[sides, climbed - 1], center)
     unstable = ladder[sides, climbed]
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (stable + unstable)
-        searching = np.flatnonzero((mid != stable) & (mid != unstable))
-        if not searching.size:
+    for taken in range(0, _MAX_BISECTIONS, _SUBTREE_DEPTH):
+        depth = min(_SUBTREE_DEPTH, _MAX_BISECTIONS - taken)
+        mids = _bisection_subtrees(stable, unstable, depth)
+        built = ~np.isnan(mids)
+        if not built.any():
             break
-        moved = mid[searching]
-        verdicts = decide(moved)
-        stable[searching[verdicts]] = moved[verdicts]
-        unstable[searching[~verdicts]] = moved[~verdicts]
+        verdicts = np.zeros(mids.shape, dtype=bool)
+        verdicts[built] = decide(mids[built])
+        node = np.zeros(2, dtype=int)
+        for _ in range(depth):
+            on, verdict, mid = built[sides, node], verdicts[sides, node], mids[sides, node]
+            stable = np.where(on & verdict, mid, stable)
+            unstable = np.where(on & ~verdict, mid, unstable)
+            node = 2 * node + np.where(verdict, 1, 2)
     return (float(stable[0]), float(stable[1]))
 
 
@@ -170,8 +203,9 @@ def _grid_points(start: int, cap: int) -> list[int]:
     return points
 
 
-# Estimates held at once per stream chunk (a trials x columns float64 array),
-# so long segments near max_probe_length stay a few MiB.
+# Running sums held at once per stream chunk (two trials x columns float64
+# arrays, the second overwritten by the estimates), so long segments near
+# max_probe_length stay a few MiB.
 _CHUNK_ESTIMATES = 1 << 18
 
 
@@ -184,30 +218,34 @@ def _estimate_chunks(
     at_stop is True.
 
     Trial i owns the persistent stream Prng(seed, i), read by the i.i.d.
-    Gaussian policy's InputPolicy.open_loop, as simulate() reads it.  The
-    prefix sums continue from the previous chunk's last column, so every
-    estimate is bit-identical to a cumsum over the whole path.
+    Gaussian policy's InputPolicy.open_loop, as simulate() reads it.  Each
+    trial's products u u and u res fill its rows of one (2, trials,
+    width + 1) array whose first column holds the sums carried from the
+    previous chunk; one cumsum along the path turns it into prefix sums, and
+    one divide writes the estimates over the u res row.  A cumsum along an
+    axis adds in path order, so every estimate is bit-identical to a cumsum
+    over the whole path of that trial alone.
     """
     generators = [Prng(config.seed, i).generator for i in range(config.trials)]
     policy = InputPolicy.iid_gaussian(config.sigma_u2)
     sigma_w = np.sqrt(config.sigma_w2)
-    chunk = max(1, _CHUNK_ESTIMATES // config.trials)
-    sums_uu = np.zeros(config.trials)  # each trial's sums up to N0
-    sums_ur = np.zeros(config.trials)
+    chunk = max(1, _CHUNK_ESTIMATES // (2 * config.trials))
+    carried = np.zeros((2, config.trials))  # each trial's sums up to N0
     consumed = 0
     for stop in stops:
         while consumed < stop:
             width = min(chunk, stop - consumed)
-            b_hats = np.empty((config.trials, width))
+            sums = np.empty((2, config.trials, width + 1))
+            sums[:, :, 0] = carried
             for i, gen in enumerate(generators):
                 u, noise = policy.open_loop((gen,), 1, width, n)
                 u = u[0]
                 res = config.true_b1 * u + sigma_w * noise[0, :, 0]
-                cum_uu = np.cumsum(np.concatenate(([sums_uu[i]], u * u)))[1:]
-                cum_ur = np.cumsum(np.concatenate(([sums_ur[i]], u * res)))[1:]
-                sums_uu[i] = cum_uu[-1]
-                sums_ur[i] = cum_ur[-1]
-                np.divide(cum_ur, cum_uu, out=b_hats[i])
+                np.multiply(u, u, out=sums[0, i, 1:])
+                np.multiply(u, res, out=sums[1, i, 1:])
+            np.cumsum(sums, axis=2, out=sums)
+            carried = sums[:, :, -1].copy()
+            b_hats = np.divide(sums[1, :, 1:], sums[0, :, 1:], out=sums[1, :, 1:])
             yield consumed, b_hats, consumed + width == stop
             consumed += width
 

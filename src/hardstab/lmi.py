@@ -48,6 +48,8 @@ _STEP_FRACTION = 0.95
 _RIDGE = 1e-15
 # Relative bracket width at which bisect_largest_m stops
 BISECTION_TOLERANCE = 1e-3
+# Probes bisect_largest_m makes after m = 0 before it stops unconverged
+_MAX_PROBES = 200
 
 
 class BisectionError(RuntimeError):
@@ -139,11 +141,17 @@ class BisectionResult:
     theorem_m: float
     conservative: bool
     trace: tuple = ()
+    # the probe cap stopped the bisection while its bracket could still
+    # shrink towards the tolerance
+    capped: bool = False
 
     @property
     def status(self) -> str:
-        """'conservative' when an inconclusive probe was counted as
-        infeasible, else 'ok'."""
+        """'unconverged' when the probe cap stopped the bisection short of
+        its tolerance, else 'conservative' when an inconclusive probe was
+        counted as infeasible, else 'ok'."""
+        if self.capped:
+            return "unconverged"
         return "conservative" if self.conservative else "ok"
 
 
@@ -470,7 +478,8 @@ def bisect_largest_m(
     inconclusive solver status as infeasible and flag the result as
     conservative.  The feasible endpoint's certificate warm-starts each probe.
     The bisection stops at the relative tolerance, or earlier once the
-    midpoint rounds to an end of the bracket.
+    midpoint rounds to an end of the bracket; a bisection stopped first by
+    the _MAX_PROBES cap reports status 'unconverged'.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -488,10 +497,14 @@ def bisect_largest_m(
     hi = theorem_m
     trace = [(0.0, "feasible"), (theorem_m, "infeasible-analytic")]
     conservative = False
+    capped = False
     iterations = 0
     while hi - lo > tolerance * max(lo, theorem_m * 1e-9):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # the bracket cannot shrink further
+            break
+        if iterations == _MAX_PROBES:
+            capped = True
             break
         problem = build_costab_lmi(make_hard_pair(params, mid))
         outcome = check_feasible(problem, warm_start=(certificate.q, certificate.y))
@@ -504,8 +517,6 @@ def bisect_largest_m(
             hi = mid
             conservative = conservative or outcome.status == "inconclusive"
             trace.append((mid, outcome.status))
-        if iterations > 200:
-            break
 
     feasible_ms = [m for m, status in trace if status == "feasible"]
     infeasible_ms = [m for m, status in trace if status != "feasible"]
@@ -524,4 +535,5 @@ def bisect_largest_m(
         theorem_m=theorem_m,
         conservative=conservative,
         trace=tuple(trace),
+        capped=capped,
     )

@@ -94,6 +94,9 @@ class TestSubcommands:
 
         monkeypatch.setattr(cli.lmi, "check_feasible", inconclusive_above_zero)
         assert "status = conservative\n" in run_cli(capsys, "lmi-bisect", "--n", "2")
+        # far below float resolution at m = 0 the probe cap stops it first
+        capped = run_cli(capsys, "lmi-bisect", "--n", "2", "--tolerance", "1e-300")
+        assert "status = unconverged\n" in capped
 
     def test_config_file_defaults_and_flag_override(self, capsys, tmp_path):
         config = tmp_path / "lab.cfg"

@@ -72,6 +72,44 @@ def _one_sided_edge(decide, center, step):
     return stable
 
 
+def _reference_chunks(config, n, stops):
+    """Reference stream, one trial at a time: each trial's inputs and
+    residuals from InputPolicy.open_loop, then its own prefix sums, carried
+    from the previous segment, and their quotient; one segment per stop."""
+    generators = [Prng(config.seed, i).generator for i in range(config.trials)]
+    policy = InputPolicy.iid_gaussian(config.sigma_u2)
+    sigma_w = np.sqrt(config.sigma_w2)
+    sums_uu = np.zeros(config.trials)
+    sums_ur = np.zeros(config.trials)
+    consumed = 0
+    for stop in stops:
+        width = stop - consumed
+        b_hats = np.empty((config.trials, width))
+        for i, gen in enumerate(generators):
+            u, noise = policy.open_loop((gen,), 1, width, n)
+            u = u[0]
+            res = config.true_b1 * u + sigma_w * noise[0, :, 0]
+            cum_uu = np.cumsum(np.concatenate(([sums_uu[i]], u * u)))[1:]
+            cum_ur = np.cumsum(np.concatenate(([sums_ur[i]], u * res)))[1:]
+            sums_uu[i] = cum_uu[-1]
+            sums_ur[i] = cum_ur[-1]
+            np.divide(cum_ur, cum_uu, out=b_hats[i])
+        yield consumed, b_hats, True
+        consumed = stop
+
+
+def _whole_stream(chunks):
+    """(every estimate as one trials x N array, the N of every chunk that
+    ends at a stop), checking that chunks follow each other."""
+    columns, stops = [], []
+    for start, b_hats, at_stop in chunks:
+        assert start == sum(block.shape[1] for block in columns)
+        columns.append(np.array(b_hats))
+        if at_stop:
+            stops.append(start + b_hats.shape[1])
+    return np.concatenate(columns, axis=1), stops
+
+
 class TestCeLqrConfig:
     def test_defaults_match_reference_experiment(self):
         config = CeLqrConfig()
@@ -113,29 +151,46 @@ class TestStabilityInterval:
         assert not decide(np.nextafter(lower, -np.inf))
         assert not decide(np.nextafter(upper, np.inf))
 
-    def test_ladder_is_one_stack_and_bisections_step_in_lockstep(self):
+    def test_ladder_stack_then_subtrees_inside_brackets(self):
         # the truth, then one call for the whole doubling ladder of both
-        # sides, then one midpoint per side still bisecting in each call
+        # sides, then calls of at most one bisection subtree per side, every
+        # estimate strictly inside the bracket that a plain bisection of that
+        # side has reached on the verdicts decided so far
         decide = experiments._CeDecision(HardFamilyParams(n=4, r=3.2, v=1.01))
-        calls = []
+        depth = experiments._SUBTREE_DEPTH
+        calls, verdicts, brackets = [], {}, []
+
+        def bracket(sign):
+            # the plain bisection replayed on the verdicts decided so far
+            stable, offset = 0.0, sign * 1e-6
+            while verdicts.get(offset) and abs(offset) <= 1e6:
+                stable, offset = offset, 2 * offset
+            unstable = offset
+            mid = 0.5 * (stable + unstable)
+            while mid != stable and mid != unstable and mid in verdicts:
+                stable, unstable = (mid, unstable) if verdicts[mid] else (stable, mid)
+                mid = 0.5 * (stable + unstable)
+            return min(stable, unstable), max(stable, unstable)
 
         def recording(b1_hat):
+            if len(calls) >= 2:
+                brackets.append((bracket(-1.0), bracket(1.0)))
             calls.append(np.atleast_1d(b1_hat).copy())
-            return decide(b1_hat)
+            stable = decide(b1_hat)
+            verdicts.update(zip(np.ravel(b1_hat).tolist(), np.ravel(stable).tolist()))
+            return stable
 
         experiments._stability_interval(recording, 0.0)
-        truth, ladder, *bisections = calls
+        truth, ladder, *subtrees = calls
         np.testing.assert_array_equal(truth, [0.0])
         assert 0 < np.count_nonzero(ladder < 0.0) <= 40
         assert 0 < np.count_nonzero(ladder > 0.0) <= 40
         assert np.abs(ladder).max() <= 1e6
-        for call in bisections:
-            assert np.count_nonzero(call < 0.0) <= 1 and np.count_nonzero(call > 0.0) <= 1
-        longer = max(
-            sum(np.count_nonzero(call < 0.0) for call in bisections),
-            sum(np.count_nonzero(call > 0.0) for call in bisections),
-        )
-        assert len(calls) <= 2 + longer
+        assert subtrees and len(calls) <= 2 + -(-experiments._MAX_BISECTIONS // depth)
+        for call, sides in zip(subtrees, brackets):
+            for estimates, (lo, hi) in zip((call[call < 0.0], call[call > 0.0]), sides):
+                assert estimates.size <= 2**depth - 1
+                assert np.all((estimates > lo) & (estimates < hi))
 
     @pytest.mark.parametrize("n, b1", [(n, 0.0) for n in range(2, 9)] + [(2, 0.2), (3, 0.2)])
     def test_edges_match_a_one_sided_search(self, n, b1):
@@ -156,6 +211,20 @@ class TestStabilityInterval:
         assert lower.hex() == _one_sided_edge(decide, 0.0, -1e-6).hex()
         assert upper.hex() == _one_sided_edge(decide, 0.0, 1e-6).hex()
         assert -1e-6 * 2**40 < lower < -1e6
+
+    def test_bisection_cap_binds_as_in_a_one_sided_search(self):
+        # an edge at 1e-200 below the truth 5: the left bracket would halve
+        # hundreds of times before its midpoint rounded, so the 60-step cap
+        # ends that side, at the float the one-sided search stops at
+        def decide(b1_hat):
+            inside = (np.asarray(b1_hat) > 1e-200) & (np.asarray(b1_hat) < 7.0)
+            return inside if np.ndim(b1_hat) else bool(inside)
+
+        lower, upper = experiments._stability_interval(decide, 5.0)
+        assert lower.hex() == _one_sided_edge(decide, 5.0, -1e-6).hex()
+        assert upper.hex() == _one_sided_edge(decide, 5.0, 1e-6).hex()
+        assert 1e-200 < lower < 1e-17 and decide(np.nextafter(lower, -np.inf))
+        assert np.nextafter(upper, np.inf) == 7.0
 
     def test_interval_around_a_nonzero_truth(self):
         # the estimate 0 does not stabilize the truth b1 = 0.2; the search
@@ -250,6 +319,42 @@ class TestRunCeLqr:
         assert [row.rate_at_min_n for row in result.rows] == [0.95, 0.945, 0.905, 0.9, 0.9]
         assert all(row.status == "ok" for row in result.rows)
 
+    @pytest.mark.slow
+    def test_default_seed_golden_n7_n8(self):
+        result = run_ce_lqr(CeLqrConfig(n_values=(7, 8), seed=20240814))
+        assert [row.min_n for row in result.rows] == [4018, 50481]
+        assert [row.rate_at_min_n for row in result.rows] == [0.9, 0.9]
+        assert [row.synthesis_failures for row in result.rows] == [0, 0]
+        assert all(row.status == "ok" for row in result.rows)
+
+    @pytest.mark.parametrize(
+        "n, overrides",
+        [(n, {}) for n in range(2, 7)]
+        + [(3, {"true_b1": 0.2}), (4, {"sigma_w2": 0.0}), (5, {"trials": 37})],
+    )
+    def test_stacked_stream_matches_a_per_trial_stream(self, n, overrides):
+        # one cumsum over the (2, trials, width + 1) stack adds in the same
+        # order as each trial's own cumsum, so every estimate is the same float
+        config = CeLqrConfig(seed=20240814, **overrides)
+        stops = experiments._grid_points(n + 1, 400)
+        stacked, at_stops = _whole_stream(experiments._estimate_chunks(config, n, stops))
+        reference, _ = _whole_stream(_reference_chunks(config, n, stops))
+        assert at_stops == stops
+        np.testing.assert_array_equal(stacked, reference)
+
+    @pytest.mark.parametrize("columns", [1, 2, 3])
+    def test_narrow_chunks_match_a_per_trial_stream(self, monkeypatch, columns):
+        # sums carried across chunks of 1 to 3 columns give the same floats
+        config = CeLqrConfig(seed=7, trials=37, true_b1=0.2)
+        monkeypatch.setattr(experiments, "_CHUNK_ESTIMATES", 2 * columns * config.trials)
+        stops = experiments._grid_points(4, 40)
+        chunks = list(experiments._estimate_chunks(config, 3, stops))
+        assert max(b_hats.shape[1] for _, b_hats, _ in chunks) == columns
+        stacked, at_stops = _whole_stream(chunks)
+        reference, _ = _whole_stream(_reference_chunks(config, 3, stops))
+        assert at_stops == stops
+        np.testing.assert_array_equal(stacked, reference)
+
     def test_chunked_streams_match_whole_segments(self, monkeypatch):
         # prefix sums carried across chunk boundaries reproduce the search
         # exactly, however the streams are cut
@@ -281,8 +386,8 @@ class TestRunCeLqr:
     def test_synthesis_failures_count_the_direct_check(self, monkeypatch):
         # synthesis_failures is read from the failure masks of the direct
         # check's two stacked calls; failures while the interval is searched
-        # (the ladder stack of 80 estimates, then stacks of one or two) are not
-        # trial decisions
+        # (the ladder stack of 80 estimates, then the bisection subtrees' stacks
+        # of up to 30) are not trial decisions
         def failing_gain(params, b1_hat):
             gains, failed = ce_lqr_gain(params, b1_hat)
             if failed.size == config.trials:

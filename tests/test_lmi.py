@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hardstab import lmi
+from hardstab.experiments import lmi_sweep_csv_lines, run_lmi_sweep
 from hardstab.lmi import InfeasibleReport, bisect_largest_m, build_costab_lmi, check_feasible
 from hardstab.synthesis import is_stabilizing
 from hardstab.systems import HardFamilyParams, make_hard_pair
@@ -181,6 +182,7 @@ class TestBisection:
         assert two.largest_feasible_m == 0.2895953116929235
         assert three.largest_feasible_m == 0.09142123754717726
         assert (two.iterations, three.iterations) == (13, 15)
+        assert {result.status for result in golden_bisections.values()} == {"ok"}
         feasible, infeasible = "feasible", "infeasible"
         assert [status for _, status in two.trace] == (
             [feasible, "infeasible-analytic", infeasible, infeasible, feasible]
@@ -250,6 +252,29 @@ class TestBisection:
         lo, hi = result.bracket
         assert lo <= 0.1 < hi and np.nextafter(lo, np.inf) == hi
         assert result.status == "ok"
+
+    def test_probe_cap_reports_unconverged(self, monkeypatch):
+        # feasible only at m = 0: the bracket halves towards 0 for over a
+        # thousand steps before its midpoint rounds, so the probe cap stops
+        # it short of the tolerance, and the status says so
+        probed = []
+
+        def feasible_at_zero_only(problem, warm_start=None):
+            m = float(problem.b2[0, 0] - problem.b1[0, 0])
+            probed.append(m)
+            if m == 0.0:
+                return SimpleNamespace(feasible=True, q=None, y=None, status="feasible")
+            return InfeasibleReport(best_margin=-1.0, status="infeasible")
+
+        monkeypatch.setattr(lmi, "check_feasible", feasible_at_zero_only)
+        result = bisect_largest_m(PARAMS2, tolerance=1e-300)
+        assert result.iterations == lmi._MAX_PROBES and len(probed) == lmi._MAX_PROBES + 1
+        lo, hi = result.bracket
+        assert lo == 0.0 < hi and 0.5 * hi > 0.0
+        assert result.capped and not result.conservative
+        assert result.status == "unconverged"
+        rows = run_lmi_sweep([2], r=3.2, v=1.01, tolerance=1e-300)
+        assert lmi_sweep_csv_lines(rows)[1].split(",")[-1] == "unconverged"
 
     def test_n3_below_sup_bound(self):
         params = HardFamilyParams(n=3, r=3.2, v=1.01)
