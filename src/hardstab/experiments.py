@@ -94,10 +94,9 @@ class CeLqrResult:
 
 
 class _CeDecision:
-    """Stabilization decision of the certainty-equivalent gain as a function
-    of the estimate: one decision for a float, an array of them for a 1-D
+    """Stabilization decisions of the certainty-equivalent gain for a 1-D
     array of estimates, from one stacked Riccati solve and one stacked
-    stability test."""
+    stability test; each estimate gets the bits it would get alone."""
 
     def __init__(self, params: HardFamilyParams):
         self.params = params
@@ -113,9 +112,8 @@ class _CeDecision:
             stable[~failed] = is_stabilizing(self.true_system, solved).stable
         return stable, failed
 
-    def __call__(self, b1_hat):
-        stable, _ = self.outcomes(np.atleast_1d(b1_hat))
-        return stable if np.ndim(b1_hat) else bool(stable[0])
+    def __call__(self, b1_hats: np.ndarray) -> np.ndarray:
+        return self.outcomes(b1_hats)[0]
 
 
 # The interval search's doubling ladder: offsets 1e-6 * 2^j from the truth.
@@ -123,7 +121,8 @@ class _CeDecision:
 # unstable without a decision.
 _LADDER = 1e-6 * 2.0 ** np.arange(41)
 # Bisection steps per edge; with a nonzero truth and an edge near 0 the
-# bracket can halve far more often before its midpoint rounds to an end
+# bracket can halve far more often before its midpoint rounds to an end.
+# A multiple of _SUBTREE_DEPTH, so every subtree is decided whole.
 _MAX_BISECTIONS = 60
 # Levels of each edge's bisection subtree decided per Riccati stack: 15
 # estimates per side, of which the bisection takes at most 4.  A stack costs
@@ -133,8 +132,8 @@ _MAX_BISECTIONS = 60
 _SUBTREE_DEPTH = 4
 
 
-def _bisection_subtrees(stable: np.ndarray, unstable: np.ndarray, depth: int) -> np.ndarray:
-    """Midpoints of the bisection subtree of ``depth`` levels below each
+def _bisection_subtrees(stable: np.ndarray, unstable: np.ndarray) -> np.ndarray:
+    """Midpoints of the bisection subtree of _SUBTREE_DEPTH levels below each
     bracket (stable[k], unstable[k]), one row per bracket in heap order:
     node i splits its bracket at 0.5 * (stable + unstable), and its children
     2i + 1 and 2i + 2 hold the brackets that a stable and an unstable
@@ -142,7 +141,7 @@ def _bisection_subtrees(stable: np.ndarray, unstable: np.ndarray, depth: int) ->
     and so is every node below it."""
     s, u = stable[:, None], unstable[:, None]
     levels = []
-    for _ in range(depth):
+    for _ in range(_SUBTREE_DEPTH):
         mid = 0.5 * (s + u)
         mid[(mid == s) | (mid == u)] = np.nan
         levels.append(mid)
@@ -156,34 +155,34 @@ def _stability_interval(decide: _CeDecision, center: float) -> tuple[float, floa
     truth ``center``; (center, center) when the truth itself does not
     stabilize.
 
-    One stack decides the doubling ladder center -/+ _LADDER on both sides;
-    on each side the last stable rung (or the truth) and the first unstable
-    rung bracket the edge.  Each later stack decides, for both sides at
-    once, every midpoint of the bisection subtree _SUBTREE_DEPTH levels
-    below the side's bracket; each side then walks down the path its
+    One stack decides the truth, then the doubling ladder center -/+ _LADDER
+    on both sides; on each side the last stable rung (or the truth) and the
+    first unstable rung bracket the edge.  Each later stack decides, for both
+    sides at once, every midpoint of the bisection subtree _SUBTREE_DEPTH
+    levels below the side's bracket; each side then walks down the path its
     verdicts pick, which is the run of midpoints a plain bisection would
     decide, until a midpoint rounds to one of its ends or the side has
     taken _MAX_BISECTIONS steps.  Each decision depends only on its
     estimate, so each edge is the one a side searched alone would find.
     The nodes off a side's path lie outside its final bracket, so no
     estimate is decided twice."""
-    if not decide(center):
-        return (center, center)
     sides = np.arange(2)
     ladder = center + np.outer([-1.0, 1.0], _LADDER)
-    climbed = decide(ladder[:, :-1].ravel()).reshape(2, -1).cumprod(axis=1).sum(axis=1)
+    verdicts = decide(np.append(center, ladder[:, :-1]))
+    if not verdicts[0]:
+        return (center, center)
+    climbed = verdicts[1:].reshape(2, -1).cumprod(axis=1).sum(axis=1)
     stable = np.where(climbed > 0, ladder[sides, climbed - 1], center)
     unstable = ladder[sides, climbed]
-    for taken in range(0, _MAX_BISECTIONS, _SUBTREE_DEPTH):
-        depth = min(_SUBTREE_DEPTH, _MAX_BISECTIONS - taken)
-        mids = _bisection_subtrees(stable, unstable, depth)
+    for _ in range(_MAX_BISECTIONS // _SUBTREE_DEPTH):
+        mids = _bisection_subtrees(stable, unstable)
         built = ~np.isnan(mids)
         if not built.any():
             break
         verdicts = np.zeros(mids.shape, dtype=bool)
         verdicts[built] = decide(mids[built])
         node = np.zeros(2, dtype=int)
-        for _ in range(depth):
+        for _ in range(_SUBTREE_DEPTH):
             on, verdict, mid = built[sides, node], verdicts[sides, node], mids[sides, node]
             stable = np.where(on & verdict, mid, stable)
             unstable = np.where(on & ~verdict, mid, unstable)
@@ -260,9 +259,10 @@ def _run_ce_lqr_single(config: CeLqrConfig, n: int) -> CeLqrRow:
     rate reaches the threshold, min_N is the smallest N since the previous
     grid point that does.  Direct CE-LQR synthesis then decides every trial
     at min_N and min_N - 1 (at the last grid point when the search
-    saturates), each length as one stack; any disagreement with interval
-    membership marks the row "interval-mismatch".  The reported rate is the
-    direct one, and the stacks' failure masks give synthesis_failures.
+    saturates) as one stack, min_N's estimates first; any disagreement with
+    interval membership marks the row "interval-mismatch".  The reported
+    rate is the direct one at min_N, and the stack's failure mask gives
+    synthesis_failures.
     """
     t0 = time.perf_counter()
     params = HardFamilyParams(n=n, r=config.r, v=config.v, b1=config.true_b1)
@@ -274,39 +274,35 @@ def _run_ce_lqr_single(config: CeLqrConfig, n: int) -> CeLqrRow:
     grid = _grid_points(n + 1, config.max_probe_length)
 
     min_n = None
-    hit = None  # (N, estimates at N and N - 1): first pass since the last failing point
-    previous = None  # estimates at the last N streamed
+    hit = None  # (N, estimates at N then N - 1): first pass since the last failing point
+    previous = np.empty(0)  # estimates at the last N streamed (none before N = 1)
     for start, b_hats, at_point in _estimate_chunks(config, n, grid):
         members = np.count_nonzero((b_hats > lower) & (b_hats < upper), axis=0)
         passing = members / trials >= threshold
         if hit is None and passing.any():
             k = int(np.argmax(passing))
-            before = b_hats[:, k - 1].copy() if k else previous
-            hit = (start + 1 + k, b_hats[:, k].copy(), before)
+            before = b_hats[:, k - 1] if k else previous
+            hit = (start + 1 + k, np.concatenate([b_hats[:, k], before]))
         previous = b_hats[:, -1].copy()
         if not at_point:
             continue
         if passing[-1]:
-            min_n, at_min, before = hit
-            checked = [at_min] if before is None else [at_min, before]
+            min_n, checked = hit
             break
         hit = None
     else:
-        checked = [previous]
+        checked = previous
 
-    outcomes = [decide.outcomes(estimates) for estimates in checked]
-    if not all(
-        np.array_equal(direct, (estimates > lower) & (estimates < upper))
-        for (direct, _), estimates in zip(outcomes, checked)
-    ):
+    stable, failed = decide.outcomes(checked)
+    if not np.array_equal(stable, (checked > lower) & (checked < upper)):
         status = "interval-mismatch"
     else:
         status = "saturated" if min_n is None else "ok"
     return CeLqrRow(
         n=n,
         min_n=min_n,
-        rate_at_min_n=float(outcomes[0][0].mean()),
-        synthesis_failures=sum(int(np.count_nonzero(failed)) for _, failed in outcomes),
+        rate_at_min_n=float(stable[:trials].mean()),
+        synthesis_failures=int(np.count_nonzero(failed)),
         status=status,
         wall_time_s=time.perf_counter() - t0,
     )

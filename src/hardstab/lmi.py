@@ -50,10 +50,9 @@ _RIDGE = 1e-15
 BISECTION_TOLERANCE = 1e-3
 # Probes bisect_largest_m makes after m = 0 before it stops unconverged
 _MAX_PROBES = 200
-
-
-class BisectionError(RuntimeError):
-    """Bisection observed inconsistent feasibility decisions."""
+# Least eigenvalue of P, and least Lyapunov decrement margin of each
+# sibling, that a recovered (K, P) must show under substitution
+_SUBSTITUTION_MARGIN = 5e-7
 
 
 @dataclass(frozen=True)
@@ -156,14 +155,17 @@ class BisectionResult:
 
 
 def _verify_certificate(
-    problem: CostabLmiProblem, q: np.ndarray, y: np.ndarray, tolerance: float
+    problem: CostabLmiProblem, q: np.ndarray, y: np.ndarray
 ) -> Optional[LmiCertificate]:
     """Direct-substitution check in the original variables.
 
-    Schur blocks must be positive beyond the eigenvalue noise floor and the
-    recovered (K, P) must satisfy the strict pair inequalities with margin at
-    least tolerance/2.  Feasibility is invariant under (Q, Y) -> (aQ, aY),
-    so the certificate is normalized to trace(Q) = n first.
+    Schur blocks must be positive beyond the eigenvalue noise floor, and the
+    recovered (K, P) must satisfy the strict pair inequalities: P and both
+    Lyapunov decrements with margin at least _SUBSTITUTION_MARGIN, both
+    closed loops with spectral radius below 1.  These checks verify the
+    (K, P) that the certificate reports; the margin moves no bisection
+    boundary.  Feasibility is invariant under (Q, Y) -> (aQ, aY), so the
+    certificate is normalized to trace(Q) = n first.
     """
     q = 0.5 * (q + q.T)
     scale = problem.n / float(np.trace(q))
@@ -186,7 +188,7 @@ def _verify_certificate(
         return None
     p = 0.5 * (p + p.T)
     p_min = float(np.linalg.eigvalsh(p)[0])
-    if p_min < tolerance / 2:
+    if p_min < _SUBSTITUTION_MARGIN:
         return None
     lyapunov = []
     radii = []
@@ -195,7 +197,7 @@ def _verify_certificate(
         decrement = closed.T @ p @ closed - p
         lyapunov.append(-float(np.linalg.eigvalsh(decrement)[-1]))
         radii.append(spectral_radius(closed))
-    if min(lyapunov) < tolerance / 2 or max(radii) >= 1.0:
+    if min(lyapunov) < _SUBSTITUTION_MARGIN or max(radii) >= 1.0:
         return None
     return LmiCertificate(
         q=q,
@@ -322,7 +324,7 @@ def _max_step(factor_inv: np.ndarray, step: np.ndarray) -> float:
     return math.inf if lam >= 0 else -1.0 / lam
 
 
-def _path_follow(problem: CostabLmiProblem, state: _BarrierState, tolerance: float) -> _Round:
+def _path_follow(problem: CostabLmiProblem, state: _BarrierState) -> _Round:
     """One round of infeasible-start primal-dual path following on the
     margin problem in the state's coordinates.
 
@@ -358,7 +360,7 @@ def _path_follow(problem: CostabLmiProblem, state: _BarrierState, tolerance: flo
             return _Round(None, x, t, gap, iterations, False)
         gap = sum(float(np.vdot(xm, s)) for xm, s in zip(xs, ss))
         if t > 0:
-            certificate = _verify_certificate(problem, *state.to_original(x), tolerance)
+            certificate = _verify_certificate(problem, *state.to_original(x))
             if certificate is not None:
                 return _Round(certificate, x, t, gap, iterations, False)
         if gap <= _GAP_CLOSED:
@@ -421,9 +423,7 @@ def _path_follow(problem: CostabLmiProblem, state: _BarrierState, tolerance: flo
 
 
 def check_feasible(
-    problem: CostabLmiProblem,
-    tolerance: float = 1e-6,
-    warm_start: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    problem: CostabLmiProblem, *, warm_start: Optional[tuple[np.ndarray, np.ndarray]] = None
 ) -> LmiCertificate | InfeasibleReport:
     """Decide strict feasibility of the convexified pair problem.
 
@@ -437,7 +437,8 @@ def check_feasible(
     badly: at m = 0, n = 11 the cold round closes at t ~ -4e-11 and the
     next verifies at t ~ 0.07.
 
-    "feasible": a certificate passed _verify_certificate.
+    "feasible": a certificate passed _verify_certificate, whose
+    substitution margin is fixed (_SUBSTITUTION_MARGIN).
     "infeasible": a round's duality gap closed with no certificate verified,
     so the largest margin in its coordinates is t to within the gap.  That
     t is mostly a numerical zero (about -1e-10).  Next to the boundary it
@@ -450,7 +451,7 @@ def check_feasible(
     iterations = 0
     closed = False
     for _ in range(_MAX_ROUNDS):
-        outcome = _path_follow(problem, state, tolerance)
+        outcome = _path_follow(problem, state)
         iterations += outcome.iterations
         if outcome.certificate is not None:
             return replace(outcome.certificate, iterations=iterations)
@@ -477,9 +478,12 @@ def bisect_largest_m(
     common gain at all, so it is infeasible without solving.  Probes treat an
     inconclusive solver status as infeasible and flag the result as
     conservative.  The feasible endpoint's certificate warm-starts each probe.
-    The bisection stops at the relative tolerance, or earlier once the
-    midpoint rounds to an end of the bracket; a bisection stopped first by
-    the _MAX_PROBES cap reports status 'unconverged'.
+    Each probe lies strictly inside the bracket and becomes its lower end
+    when feasible, its upper end otherwise, so every feasible probe in the
+    trace lies below every infeasible one.  The bisection stops at the
+    relative tolerance, or earlier once the midpoint rounds to an end of the
+    bracket; a bisection stopped first by the _MAX_PROBES cap reports status
+    'unconverged'.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -517,14 +521,6 @@ def bisect_largest_m(
             hi = mid
             conservative = conservative or outcome.status == "inconclusive"
             trace.append((mid, outcome.status))
-
-    feasible_ms = [m for m, status in trace if status == "feasible"]
-    infeasible_ms = [m for m, status in trace if status != "feasible"]
-    if feasible_ms and infeasible_ms and max(feasible_ms) >= min(infeasible_ms):
-        raise BisectionError(
-            f"non-monotone feasibility observed: feasible at {max(feasible_ms)} "
-            f"but infeasible at {min(infeasible_ms)}"
-        )
 
     return BisectionResult(
         largest_feasible_m=lo,

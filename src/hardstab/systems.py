@@ -116,9 +116,9 @@ def hard_matrices(n: int, r: float, v: float, b1) -> tuple[np.ndarray, np.ndarra
     return a, b
 
 
-def hard_system(params: HardFamilyParams, noise_variance: float = 0.0) -> LtiSystem:
+def hard_system(params: HardFamilyParams) -> LtiSystem:
     a, b = hard_matrices(params.n, params.r, params.v, params.b1)
-    return LtiSystem(a=a, b=b, noise_variance=noise_variance)
+    return LtiSystem(a=a, b=b)
 
 
 @dataclass(frozen=True)

@@ -238,7 +238,7 @@ def test_criterion_07_lmi_certificate_soundness():
         sup = (2 * params.v / (params.r - 1)) ** n
         for m in (0.0, 0.1 * 0.2888 * (params.v / params.r) ** (n - 2)):
             problem = build_costab_lmi(make_hard_pair(params, m))
-            cert = check_feasible(problem, tolerance)
+            cert = check_feasible(problem)
             if not cert.feasible:
                 sound = False
                 details.append(f"n={n} m={m:.2e} unexpectedly infeasible")
@@ -251,7 +251,7 @@ def test_criterion_07_lmi_certificate_soundness():
             if not substitution_ok:
                 sound = False
                 details.append(f"n={n} m={m:.2e} certificate fails substitution")
-        outcome = check_feasible(build_costab_lmi(make_hard_pair(params, 2 * sup)), tolerance)
+        outcome = check_feasible(build_costab_lmi(make_hard_pair(params, 2 * sup)))
         if outcome.feasible:
             sound = False
             details.append(f"n={n} feasible at theorem m")

@@ -7,7 +7,8 @@ import pytest
 
 from hardstab import cli
 from hardstab.cli import main, read_config
-from hardstab.lmi import BisectionError, InfeasibleReport
+from hardstab.lmi import InfeasibleReport
+from hardstab.numerics import DareError
 from hardstab.plotting import NamedColumnError, render_plot
 
 
@@ -243,7 +244,7 @@ class TestUsageErrors:
         assert not (tmp_path / "out.svg").exists()
 
     @pytest.mark.parametrize(
-        "fault", [BisectionError("non-monotone"), np.linalg.LinAlgError("singular")]
+        "fault", [DareError("stalled"), np.linalg.LinAlgError("singular")]
     )
     def test_numerical_fault_keeps_its_traceback(self, monkeypatch, fault):
         def failing(params, tolerance):

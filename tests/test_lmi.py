@@ -164,6 +164,13 @@ class TestCheckFeasible:
         assert cert_b.feasible
         assert_certificate_sound(problem_b, cert_b, 1e-6)
 
+    def test_warm_start_is_keyword_only(self):
+        # the substitution margin is a module constant; a positional second
+        # argument is refused, not read as a warm start
+        problem = build_costab_lmi(make_hard_pair(PARAMS2, 0.05))
+        with pytest.raises(TypeError):
+            check_feasible(problem, 1e-6)
+
     def test_warm_start_without_positive_q_falls_back_to_cold(self):
         # Q = -I has no Cholesky factor, so the solver starts cold
         params = HardFamilyParams(n=3, r=3.2, v=1.01)
@@ -315,7 +322,7 @@ class TestAgainstConvexSolver:
                 return None
             from hardstab.lmi import _verify_certificate
 
-            return _verify_certificate(problem, q.value, y.value, 1e-6) is not None
+            return _verify_certificate(problem, q.value, y.value) is not None
 
         for n in (2, 3, 4):
             params = HardFamilyParams(n=n, r=3.2, v=1.01)
