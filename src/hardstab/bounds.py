@@ -8,7 +8,10 @@ presentation time only.
 
 from __future__ import annotations
 
+import io
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +92,9 @@ def kl_upper_bound(horizon: int, m: float, sigma_u2: float, sigma_w2: float) -> 
     return horizon * m * m * sigma_u2 / (2.0 * sigma_w2)
 
 
-# Cap on the float64 stream draws kl_monte_carlo holds at once (64 KiB): a
-# chunk of trials of at most this many draws, but at least one trial.
+# Cap on the float64 stream draws a kl_monte_carlo process holds at once
+# (64 KiB): a chunk of trials of at most this many draws, but at least one
+# trial.  The worker processes' parts are whole runs of chunks.
 # The chunk and its log-ratio temporaries add to peak memory; 2**14 measurably
 # raised it, 2**13 did not and was as fast.
 _CHUNK_ELEMENTS = 1 << 13
@@ -100,6 +104,73 @@ def _log_ratios(m: float, u: np.ndarray, w1: np.ndarray, sigma_w2: float) -> np.
     """Per-trajectory log-likelihood ratios: the residual form summed over
     the last (time) axis of inputs u and first-coordinate noise w1."""
     return (((w1 - m * u) ** 2 - w1**2) / (2.0 * sigma_w2)).sum(axis=-1)
+
+
+def _ratios(
+    pair: HardPair,
+    policy: InputPolicy,
+    horizon: int,
+    rng: Prng,
+    per_chunk: int,
+    first: int,
+    stop: int,
+) -> np.ndarray:
+    """Log-ratios of trials first, ..., stop - 1 (trial i on stream
+    rng.stream + i), computed per_chunk consecutive trials at a time."""
+    n = pair.s1.n
+    sigma_w2 = pair.s1.noise_variance
+    if policy.kind != "custom":
+        streams = rng.spawn(rng.stream + first).streams(stop - first)
+    log_ratios = np.empty(stop - first)
+    for start in range(first, stop, per_chunk):
+        count = min(per_chunk, stop - start)
+        if policy.kind == "custom":
+            chunk = [rng.spawn(rng.stream + i) for i in range(start, start + count)]
+            trajectories = simulate(pair.s1, policy, horizon, chunk)
+            u = np.array([traj.inputs for traj in trajectories])
+            # b1 = 0 under s1, so the residuals are the noise w1
+            w1 = np.array([traj.first_coord_residuals for traj in trajectories])
+        else:
+            # state feedback never enters the ratio, so states need not be formed
+            u, draws = policy.open_loop(streams, count, horizon, n)
+            w1 = math.sqrt(sigma_w2) * draws[:, :, 0]
+        log_ratios[start - first : start - first + count] = _log_ratios(pair.m, u, w1, sigma_w2)
+    return log_ratios
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where that is unknown
+    (os.sched_getaffinity is Linux-only) or forking is unsafe: a forked
+    child keeps only the calling thread, so a lock that another live thread
+    holds would stay held in it for good."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork_part(*part) -> tuple[int, io.BufferedReader]:
+    """Fork a child that writes the float64 bytes of _ratios(*part) to a
+    pipe and exits; return its pid and the pipe's read end."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        # never return into the caller's stack, run atexit handlers or flush
+        # the parent's stdio buffers: every path leaves through os._exit
+        code = 1
+        try:
+            with open(write_end, "wb") as pipe:
+                pipe.write(_ratios(*part))
+            code = 0
+        finally:
+            os._exit(code)
+    # closed before the next fork, so no later child holds it and EOF arrives
+    os.close(write_end)
+    return pid, open(read_end, "rb")
 
 
 def kl_monte_carlo(
@@ -121,10 +192,22 @@ def kl_monte_carlo(
     expression.  Open-loop policies read the chunk's streams through one
     Prng.streams() iterator; a custom policy rolls the chunk out in lockstep
     through one simulate() call, each trial on its own Prng, so the
-    estimate is bit for bit what one simulate() call per trial gives.  A
-    trial whose state leaves simulate()'s divergence guard (including a
-    non-finite state) raises DivergedTrajectoryError at the first step at
-    which any trial of its chunk does.
+    estimate is bit for bit what one simulate() call per trial gives.
+
+    The chunks are split into contiguous parts, one per usable CPU (the
+    CPUs os.sched_getaffinity allows, at most one per chunk; one part when
+    that call is missing or another thread is alive, since forking then is
+    unsafe).  This process computes the first part; each other part is
+    computed in a child made with os.fork(), which sends its ratios back
+    through a pipe.  A trial's ratio depends on its own stream only, and
+    the mean and standard error are taken over all trials at once, so the
+    report is the same bit for bit for any number of parts.  A part whose
+    child fails (a nonzero exit or a short result) is computed again in
+    this process, in trial order, so a trial whose state leaves simulate()'s
+    divergence guard (including a non-finite state) raises the
+    DivergedTrajectoryError a single process raises: at the first step at
+    which any trial of the first such chunk does.  No child outlives the
+    call, whether it returns or raises.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
@@ -136,23 +219,38 @@ def kl_monte_carlo(
 
     m = pair.m
     n = pair.s1.n
-    sigma_w = math.sqrt(sigma_w2)
-    streams = rng.streams(trials)
     per_chunk = max(1, _CHUNK_ELEMENTS // (horizon * (n + 1)))
+    chunks = -(-trials // per_chunk)
+    workers = min(_usable_cpus(), chunks)
+    edges = [min(trials, chunks * k // workers * per_chunk) for k in range(workers + 1)]
+    parts = list(zip(edges, edges[1:]))
     log_ratios = np.empty(trials)
-    for start in range(0, trials, per_chunk):
-        count = min(per_chunk, trials - start)
-        if policy.kind == "custom":
-            chunk = [rng.spawn(rng.stream + i) for i in range(start, start + count)]
-            trajectories = simulate(pair.s1, policy, horizon, chunk)
-            u = np.array([traj.inputs for traj in trajectories])
-            # b1 = 0 under s1, so the residuals are the noise w1
-            w1 = np.array([traj.first_coord_residuals for traj in trajectories])
-        else:
-            # state feedback never enters the ratio, so states need not be formed
-            u, draws = policy.open_loop(streams, count, horizon, n)
-            w1 = sigma_w * draws[:, :, 0]
-        log_ratios[start : start + count] = _log_ratios(m, u, w1, sigma_w2)
+    children = {}  # part index -> (pid, read end) of a child not yet reaped
+    try:
+        for k in range(1, workers):
+            try:
+                children[k] = _fork_part(pair, policy, horizon, rng, per_chunk, *parts[k])
+            except OSError:  # no process to be had: this process computes the rest
+                break
+        for k, (first, stop) in enumerate(parts):
+            if k in children:
+                pid, pipe = children[k]
+                part = log_ratios[first:stop]
+                filled = pipe.readinto(part) == part.nbytes
+                status = os.waitpid(pid, 0)[1]
+                del children[k]
+                pipe.close()
+                if filled and os.waitstatus_to_exitcode(status) == 0:
+                    continue
+            log_ratios[first:stop] = _ratios(pair, policy, horizon, rng, per_chunk, first, stop)
+    finally:
+        if children:
+            import signal  # only on this path: the module costs start-up time
+
+            for pid, pipe in children.values():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
     estimate = float(np.mean(log_ratios))
     std_error = float(np.std(log_ratios, ddof=1) / math.sqrt(trials))

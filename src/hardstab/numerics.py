@@ -30,6 +30,10 @@ class RootFindingError(RuntimeError):
             f"for polynomial with ascending coefficients {self.coeffs.tolist()}"
         )
 
+    def __reduce__(self):
+        # pickle rebuilds from the constructor's arguments, not from args
+        return type(self), (self.coeffs, self.iterations)
+
 
 class DareError(RuntimeError):
     """Riccati iteration failed; carries the last residual when available."""

@@ -42,6 +42,10 @@ class DivergedTrajectoryError(RuntimeError):
             f"(|state| > {DIVERGENCE_LIMIT:g} or not finite) at step {step}"
         )
 
+    def __reduce__(self):
+        # pickle rebuilds from the constructor's arguments, not from args
+        return type(self), (self.step, self.seed_record)
+
 
 @dataclass(frozen=True)
 class LtiSystem:
@@ -179,7 +183,13 @@ class InputPolicy:
 
     @staticmethod
     def custom(history_map: Callable) -> "InputPolicy":
-        """history_map(t, inputs_so_far, states_so_far, generator) -> u_t."""
+        """history_map(t, inputs_so_far, states_so_far, generator) -> u_t.
+
+        The map must not carry state between calls: simulate() calls it
+        once per trial per step, interleaving a chunk's trials, and
+        kl_monte_carlo() calls it for some trials in forked child
+        processes, whose changes to the map's state never reach the
+        caller."""
         return InputPolicy(kind="custom", history_map=history_map)
 
     def open_loop(

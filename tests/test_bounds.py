@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +26,11 @@ from hardstab.systems import (
 PARAMS2 = HardFamilyParams(n=2, r=3.2, v=1.01)
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestKlUpperBound:
     def test_reference_values(self):
         assert kl_upper_bound(100, 0.1, 32.0, 0.005) == pytest.approx(3200.0)
@@ -43,6 +50,12 @@ class TestKlUpperBound:
 
 
 class TestKlMonteCarlo:
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        # kl_monte_carlo forks workers; none may outlive a call, error paths included
+        yield
+        assert_no_child_left()
+
     def test_identical_systems_exact_zero(self):
         pair = make_hard_pair(PARAMS2, 0.0, noise_variance=0.005)
         report = kl_monte_carlo(pair, InputPolicy.iid_gaussian(32.0), 20, 500, Prng(1))
@@ -107,20 +120,136 @@ class TestKlMonteCarlo:
             w1, u = traj.first_coord_residuals, traj.inputs
             terms = ((w1 - pair.m * u) ** 2 - w1**2) / (2.0 * pair.s1.noise_variance)
             log_ratios[i] = terms.sum()
-        for chunk_elements in (bounds._CHUNK_ELEMENTS, 1, 7 * 36 + 5):
-            monkeypatch.setattr(bounds, "_CHUNK_ELEMENTS", chunk_elements)
-            report = kl_monte_carlo(pair, policy, horizon, trials, Prng(seed, first))
-            assert report.mc_estimate == float(np.mean(log_ratios))
-            assert report.mc_std_error == float(np.std(log_ratios, ddof=1) / math.sqrt(trials))
+        # and whatever the number of parts the chunks are split into (one,
+        # or the parent's plus one or two forked children's; never more
+        # parts than chunks, so the default cap always runs one)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(bounds, "_usable_cpus", lambda: workers)
+            for chunk_elements in (bounds._CHUNK_ELEMENTS, 1, 7 * 36 + 5):
+                monkeypatch.setattr(bounds, "_CHUNK_ELEMENTS", chunk_elements)
+                report = kl_monte_carlo(pair, policy, horizon, trials, Prng(seed, first))
+                assert report.mc_estimate == float(np.mean(log_ratios))
+                assert report.mc_std_error == float(np.std(log_ratios, ddof=1) / math.sqrt(trials))
+                assert_no_child_left()
 
-    def test_non_finite_custom_input_is_an_error(self):
-        # a NaN input must stop the estimate, not turn it into NaN
+    def test_non_finite_custom_input_is_an_error(self, monkeypatch):
+        # a NaN input must stop the estimate, not turn it into NaN; with one
+        # trial per chunk and three parts, the parent's own part raises while
+        # the children still run, and they must not outlive the call
         pair = make_hard_pair(PARAMS2, 0.05, noise_variance=0.005)
         policy = InputPolicy.custom(lambda t, u, x, gen: float("nan") if t == 3 else 1.0)
-        with pytest.raises(DivergedTrajectoryError) as err:
-            kl_monte_carlo(pair, policy, 10, 200, Prng(7, 30))
-        assert err.value.step == 4
-        assert err.value.seed_record == (7, 30)
+        for workers, chunk_elements in ((1, bounds._CHUNK_ELEMENTS), (3, 1)):
+            monkeypatch.setattr(bounds, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(bounds, "_CHUNK_ELEMENTS", chunk_elements)
+            with pytest.raises(DivergedTrajectoryError) as err:
+                kl_monte_carlo(pair, policy, 10, 200, Prng(7, 30))
+            assert err.value.step == 4
+            assert err.value.seed_record == (7, 30)
+            assert_no_child_left()
+
+    @pytest.mark.parametrize("seed, step, stream", [(2, 21, 1001), (5, 41, 739), (56, 5, 785)])
+    def test_divergence_in_a_child_part_is_the_serial_error(self, seed, step, stream, monkeypatch):
+        # 2,000 trials at horizon 50 make 38 chunks of 54 trials; with three
+        # parts the children's start at trials 648 and 1350, so the first
+        # diverging trial lies in a child's part, which fails and is computed
+        # again in the parent, raising what one process raises; at seed 56
+        # trials 1402 and 1945 of the second child's part diverge too, so
+        # the parts must be taken in trial order
+        pair = make_hard_pair(PARAMS2, 0.05, noise_variance=0.005)
+        policy = InputPolicy.custom(
+            lambda t, u, x, gen: float("nan") if gen.standard_normal() > 4.3 else 0.0
+        )
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(bounds, "_usable_cpus", lambda: workers)
+            with pytest.raises(DivergedTrajectoryError) as err:
+                kl_monte_carlo(pair, policy, 50, 2_000, Prng(seed))
+            assert (err.value.step, err.value.seed_record) == (step, (seed, stream))
+            assert_no_child_left()
+        assert stream >= 648
+
+    def test_parts_split_on_chunk_boundaries(self, monkeypatch):
+        # the parent's own part holds whole chunks, so its simulate() stacks
+        # are the first stacks of a one-process run
+        pair = make_hard_pair(PARAMS2, 0.05, noise_variance=0.005)
+        policy = InputPolicy.custom(lambda t, u, x, gen: gen.standard_normal())
+        stacks = []
+
+        def recording(sys, policy, horizon, rngs):
+            stacks.append([rng.stream for rng in rngs])
+            return simulate(sys, policy, horizon, rngs)
+
+        monkeypatch.setattr(bounds, "simulate", recording)
+        monkeypatch.setattr(bounds, "_usable_cpus", lambda: 1)
+        kl_monte_carlo(pair, policy, 50, 2_000, Prng(3))
+        serial, stacks[:] = stacks[:], []
+        monkeypatch.setattr(bounds, "_usable_cpus", lambda: 3)
+        kl_monte_carlo(pair, policy, 50, 2_000, Prng(3))
+        assert len(stacks) == 12 and stacks == serial[:12]
+
+    @pytest.mark.parametrize("failure", ["exit-3", "short-result"])
+    def test_failed_child_part_is_computed_in_the_parent(self, failure, monkeypatch):
+        pair = make_hard_pair(PARAMS2, 0.05, noise_variance=0.005)
+        policy = InputPolicy.iid_gaussian(32.0)
+        monkeypatch.setattr(bounds, "_CHUNK_ELEMENTS", 1)
+        monkeypatch.setattr(bounds, "_usable_cpus", lambda: 1)
+        serial = kl_monte_carlo(pair, policy, 12, 150, Prng(17, 40))
+        parent, ratios = os.getpid(), bounds._ratios
+
+        def failing_in_a_child(*part):
+            if os.getpid() == parent:
+                return ratios(*part)
+            if failure == "exit-3":
+                os._exit(3)
+            return ratios(*part)[1:]  # short, and misaligned if it were taken
+
+        monkeypatch.setattr(bounds, "_ratios", failing_in_a_child)
+        monkeypatch.setattr(bounds, "_usable_cpus", lambda: 3)
+        assert kl_monte_carlo(pair, policy, 12, 150, Prng(17, 40)) == serial
+
+    def test_failed_fork_leaves_the_parts_to_the_parent(self, monkeypatch):
+        pair = make_hard_pair(PARAMS2, 0.05, noise_variance=0.005)
+        policy = InputPolicy.iid_gaussian(32.0)
+        monkeypatch.setattr(bounds, "_CHUNK_ELEMENTS", 1)
+        monkeypatch.setattr(bounds, "_usable_cpus", lambda: 1)
+        serial = kl_monte_carlo(pair, policy, 12, 150, Prng(17, 40))
+        fork = os.fork
+        forks = []
+
+        def second_fork_fails():
+            if forks:
+                raise BlockingIOError("Resource temporarily unavailable")
+            forks.append(fork())
+            return forks[-1]
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        monkeypatch.setattr(bounds, "_usable_cpus", lambda: 3)
+        assert kl_monte_carlo(pair, policy, 12, 150, Prng(17, 40)) == serial
+
+    @pytest.mark.parametrize("case", ["thread-alive", "no-sched-getaffinity"])
+    def test_no_fork_where_it_is_unsafe_or_unsized(self, case, monkeypatch):
+        pair = make_hard_pair(PARAMS2, 0.05, noise_variance=0.005)
+        policy = InputPolicy.iid_gaussian(32.0)
+        monkeypatch.setattr(bounds, "_CHUNK_ELEMENTS", 1)
+        expected = kl_monte_carlo(pair, policy, 12, 150, Prng(17, 40))
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if case == "thread-alive":
+            thread.start()
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity")
+        try:
+            assert bounds._usable_cpus() == 1
+            assert kl_monte_carlo(pair, policy, 12, 150, Prng(17, 40)) == expected
+        finally:
+            release.set()
+            if thread.is_alive():
+                thread.join(timeout=10)
+        assert not thread.is_alive()
 
     def test_trial_floor(self):
         pair = make_hard_pair(PARAMS2, 0.05, noise_variance=0.005)

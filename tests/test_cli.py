@@ -1,5 +1,7 @@
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -276,6 +278,23 @@ def test_readme_cli_examples_parse(monkeypatch, tmp_path):
                 Path(written).touch()
     subcommands = next(a for a in parser._actions if a.dest == "command").choices
     assert {argv[0] for argv in examples} == set(subcommands)
+
+
+def test_import_starts_no_process_machinery():
+    """Importing the package, its CLI and its plotting loads none of
+    multiprocessing, concurrent.futures or subprocess: every CLI call pays
+    its imports, and these three cost tens of milliseconds.
+    kl_monte_carlo's workers use os.fork and os.pipe, which import nothing."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "import hardstab, hardstab.cli, hardstab.plotting; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent', 'subprocess')))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 class TestPlot:
