@@ -4,9 +4,10 @@ and the co-stabilizability bisection sweep, with CSV emission.
 The LQR experiment regresses the unknown first input coefficient from
 exploration data and records the smallest trajectory length at which the
 certainty-equivalent gain stabilizes the truth in enough trials.  A gain
-stabilizes exactly when the estimate lies in an interval located once per
-dimension, so the search counts interval membership and runs synthesis only
-to check the answer.  Regression data uses the exact transition
+stabilizes exactly when the estimate lies in an interval around the truth,
+so the search counts interval membership, locating the interval's edges only
+as precisely as the streamed estimates need, and runs synthesis only to
+check the answer.  Regression data uses the exact transition
 residuals b1 u + w recorded at generation time: re-deriving them from stored
 states is numerically impossible here, because open-loop states grow like
 r^t and swallow the O(1) residual information long before the divergence
@@ -21,6 +22,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import bounds
 from .lmi import BISECTION_TOLERANCE, bisect_largest_m
 from .numerics import Prng
 from .synthesis import FeedbackGain, ce_lqr_gain, is_stabilizing
@@ -64,6 +66,8 @@ class CeLqrRow:
     synthesis_failures: int
     # "ok": min_N found and the direct check agrees with interval membership;
     # "saturated": no N up to max_probe_length reaches the threshold;
+    # "interval-riccati-failure": a Riccati solve failed on a decision the
+    # interval's edges rest on, so membership, and min_N, may be wrong;
     # "interval-mismatch": direct synthesis contradicted interval membership
     # at a checked N, so min_N rests on a model the row disproved.
     status: str
@@ -150,44 +154,104 @@ def _bisection_subtrees(stable: np.ndarray, unstable: np.ndarray) -> np.ndarray:
     return np.concatenate(levels, axis=1)
 
 
-def _stability_interval(decide: _CeDecision, center: float) -> tuple[float, float]:
-    """Connected component (lo, hi) of the stable estimate set around the
-    truth ``center``; (center, center) when the truth itself does not
-    stabilize.
+class _StableInterval:
+    """Connected component of the stable estimate set around the truth
+    ``center``, searched only as far as the estimates asked about need.
 
-    One stack decides the truth, then the doubling ladder center -/+ _LADDER
-    on both sides; on each side the last stable rung (or the truth) and the
-    first unstable rung bracket the edge.  Each later stack decides, for both
-    sides at once, every midpoint of the bisection subtree _SUBTREE_DEPTH
-    levels below the side's bracket; each side then walks down the path its
-    verdicts pick, which is the run of midpoints a plain bisection would
-    decide, until a midpoint rounds to one of its ends or the side has
-    taken _MAX_BISECTIONS steps.  Each decision depends only on its
-    estimate, so each edge is the one a side searched alone would find.
-    The nodes off a side's path lie outside its final bracket, so no
-    estimate is decided twice."""
-    sides = np.arange(2)
-    ladder = center + np.outer([-1.0, 1.0], _LADDER)
-    verdicts = decide(np.append(center, ladder[:, :-1]))
-    if not verdicts[0]:
-        return (center, center)
-    climbed = verdicts[1:].reshape(2, -1).cumprod(axis=1).sum(axis=1)
-    stable = np.where(climbed > 0, ladder[sides, climbed - 1], center)
-    unstable = ladder[sides, climbed]
-    for _ in range(_MAX_BISECTIONS // _SUBTREE_DEPTH):
-        mids = _bisection_subtrees(stable, unstable)
-        built = ~np.isnan(mids)
-        if not built.any():
-            break
+    ``outcomes`` maps a 1-D array of estimates to their (stable, failed)
+    masks, as _CeDecision.outcomes does.  One stack decides the truth, then
+    the doubling ladder center -/+ _LADDER on both sides; on each side the
+    last stable rung (or the truth) and the first unstable rung bracket the
+    edge.  If the truth does not stabilize, both edges are the truth and the
+    interval is empty.  Each later stack decides, for both sides at once,
+    every midpoint of the bisection subtree _SUBTREE_DEPTH levels below each
+    side's bracket; each side then walks down the path its verdicts pick,
+    which is the run of midpoints a plain bisection would decide, until a
+    midpoint rounds to one of its ends or the side has taken
+    _MAX_BISECTIONS steps.  Each decision depends only on its estimate, so
+    each edge is the one a side searched alone would find, and the nodes
+    off a side's path lie outside its final bracket, so no estimate is
+    decided twice.
+
+    contains() decides the next stack only while one of its estimates lies
+    in the bracket of a side that can still narrow, (unstable, stable] on
+    the left and [stable, unstable) on the right.  A side's final edge lies
+    in its bracket, so an estimate outside it has the same membership
+    against every later edge, and the answer is the one the fully refined
+    edges give.  ``failed`` tells whether a Riccati solve failed on a
+    decision the edges found so far rest on: the truth, a rung up to the
+    first unstable one, or a midpoint on a side's path.
+    """
+
+    def __init__(self, outcomes, center: float):
+        self._outcomes = outcomes
+        self._subtrees = np.zeros(2, dtype=int)  # subtree stacks each side took
+        ladder = center + np.outer([-1.0, 1.0], _LADDER)
+        stable, failed = outcomes(np.append(center, ladder[:, :-1]))
+        if not stable[0]:
+            self.failed = bool(failed[0])
+            self._stable = self._unstable = np.full(2, center)
+            return
+        climbed = stable[1:].reshape(2, -1).cumprod(axis=1).sum(axis=1)
+        used = np.arange(len(_LADDER) - 1) <= climbed[:, None]
+        self.failed = bool((failed[1:].reshape(2, -1) & used).any())
+        sides = np.arange(2)
+        self._stable = np.where(climbed > 0, ladder[sides, climbed - 1], center)
+        self._unstable = ladder[sides, climbed]
+
+    def contains(self, b1_hats: np.ndarray) -> np.ndarray:
+        """Membership of each estimate in the open interval between the
+        edges."""
+        while True:
+            lo, hi = self._stable
+            lo_unstable, hi_unstable = self._unstable
+            pending = np.array(
+                [
+                    np.any((b1_hats > lo_unstable) & (b1_hats <= lo)),
+                    np.any((b1_hats >= hi) & (b1_hats < hi_unstable)),
+                ]
+            )
+            if not (pending.any() and self._bisect(pending)):
+                return (b1_hats > lo) & (b1_hats < hi)
+
+    def edges(self) -> tuple[float, float]:
+        """(lo, hi), both sides refined to the end."""
+        while self._bisect(np.ones(2, dtype=bool)):
+            pass
+        return (float(self._stable[0]), float(self._stable[1]))
+
+    def _bisect(self, wanted: np.ndarray) -> bool:
+        """Unless no wanted side can still narrow (False), decide one
+        subtree stack for every side that can and walk each down its
+        verdicts."""
+        mids = _bisection_subtrees(self._stable, self._unstable)
+        grow = ~np.isnan(mids[:, 0]) & (self._subtrees < _MAX_BISECTIONS // _SUBTREE_DEPTH)
+        if not (wanted & grow).any():
+            return False
+        built = ~np.isnan(mids) & grow[:, None]
         verdicts = np.zeros(mids.shape, dtype=bool)
-        verdicts[built] = decide(mids[built])
-        node = np.zeros(2, dtype=int)
+        failed = np.zeros(mids.shape, dtype=bool)
+        verdicts[built], failed[built] = self._outcomes(mids[built])
+        sides, node = np.arange(2), np.zeros(2, dtype=int)
         for _ in range(_SUBTREE_DEPTH):
             on, verdict, mid = built[sides, node], verdicts[sides, node], mids[sides, node]
-            stable = np.where(on & verdict, mid, stable)
-            unstable = np.where(on & ~verdict, mid, unstable)
+            self.failed |= bool((on & failed[sides, node]).any())
+            self._stable = np.where(on & verdict, mid, self._stable)
+            self._unstable = np.where(on & ~verdict, mid, self._unstable)
             node = 2 * node + np.where(verdict, 1, 2)
-    return (float(stable[0]), float(stable[1]))
+        self._subtrees += grow
+        return True
+
+
+def _stability_interval(decide, center: float) -> tuple[float, float]:
+    """Edges (lo, hi) of the _StableInterval of ``decide``'s stable masks,
+    refined to the end; (center, center) when the truth itself does not
+    stabilize."""
+
+    def outcomes(b1_hats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return decide(b1_hats), np.zeros(b1_hats.shape, dtype=bool)
+
+    return _StableInterval(outcomes, center).edges()
 
 
 # Successive trajectory lengths the search stops at grow by this factor
@@ -217,11 +281,13 @@ def _estimate_chunks(
     at_stop is True.
 
     Trial i owns the persistent stream Prng(seed, i), read by the i.i.d.
-    Gaussian policy's InputPolicy.open_loop, as simulate() reads it.  Each
-    trial's products u u and u res fill its rows of one (2, trials,
-    width + 1) array whose first column holds the sums carried from the
-    previous chunk; one cumsum along the path turns it into prefix sums, and
-    one divide writes the estimates over the u res row.  A cumsum along an
+    Gaussian policy's InputPolicy.open_loop, as simulate() reads it, in
+    batches of consecutive trials of at most bounds._CHUNK_ELEMENTS draws
+    (at least one trial).  Each batch's products u u and u res fill its
+    trials' rows of one (2, trials, width + 1) array whose first column
+    holds the sums carried from the previous chunk; one cumsum along the
+    path turns it into prefix sums, and one divide writes the estimates
+    over the u res row.  A cumsum along an
     axis adds in path order, so every estimate is bit-identical to a cumsum
     over the whole path of that trial alone.
     """
@@ -234,14 +300,16 @@ def _estimate_chunks(
     for stop in stops:
         while consumed < stop:
             width = min(chunk, stop - consumed)
+            batch = max(1, bounds._CHUNK_ELEMENTS // (width * (1 + n)))
             sums = np.empty((2, config.trials, width + 1))
             sums[:, :, 0] = carried
-            for i, gen in enumerate(generators):
-                u, noise = policy.open_loop((gen,), 1, width, n)
-                u = u[0]
-                res = config.true_b1 * u + sigma_w * noise[0, :, 0]
-                np.multiply(u, u, out=sums[0, i, 1:])
-                np.multiply(u, res, out=sums[1, i, 1:])
+            for first in range(0, config.trials, batch):
+                part = generators[first : first + batch]
+                u, noise = policy.open_loop(part, len(part), width, n)
+                res = config.true_b1 * u + sigma_w * noise[:, :, 0]
+                rows = slice(first, first + len(part))
+                np.multiply(u, u, out=sums[0, rows, 1:])
+                np.multiply(u, res, out=sums[1, rows, 1:])
             np.cumsum(sums, axis=2, out=sums)
             carried = sums[:, :, -1].copy()
             b_hats = np.divide(sums[1, :, 1:], sums[0, :, 1:], out=sums[1, :, 1:])
@@ -253,21 +321,24 @@ def _run_ce_lqr_single(config: CeLqrConfig, n: int) -> CeLqrRow:
     """Minimum-sample search in one streaming pass.
 
     Each decision depends on the estimate only, and the stable estimates
-    form the interval located once by _stability_interval, so the rate at
-    every N is the share of trials whose estimate lies inside it.  Streams
-    advance from one grid point to the next; at the first grid point whose
-    rate reaches the threshold, min_N is the smallest N since the previous
-    grid point that does.  Direct CE-LQR synthesis then decides every trial
-    at min_N and min_N - 1 (at the last grid point when the search
-    saturates) as one stack, min_N's estimates first; any disagreement with
-    interval membership marks the row "interval-mismatch".  The reported
-    rate is the direct one at min_N, and the stack's failure mask gives
+    form an interval, so the rate at every N is the share of trials whose
+    estimate lies inside it.  The row's _StableInterval refines its edges
+    only as far as the streamed estimates need.  Streams advance from one
+    grid point to the next; at the first grid point whose rate reaches the
+    threshold, min_N is the smallest N since the previous grid point that
+    does.  Direct CE-LQR synthesis then decides every trial at min_N and
+    min_N - 1 (at the last grid point when the search saturates) as one
+    stack, min_N's estimates first.  A Riccati failure on a decision the
+    interval's edges rest on marks the row "interval-riccati-failure";
+    otherwise any disagreement of the direct decisions with interval
+    membership marks it "interval-mismatch".  The reported rate is the
+    direct one at min_N, and the stack's failure mask gives
     synthesis_failures.
     """
     t0 = time.perf_counter()
     params = HardFamilyParams(n=n, r=config.r, v=config.v, b1=config.true_b1)
     decide = _CeDecision(params)
-    lower, upper = _stability_interval(decide, params.b1)
+    interval = _StableInterval(decide.outcomes, params.b1)
 
     trials = config.trials
     threshold = config.success_threshold
@@ -277,7 +348,7 @@ def _run_ce_lqr_single(config: CeLqrConfig, n: int) -> CeLqrRow:
     hit = None  # (N, estimates at N then N - 1): first pass since the last failing point
     previous = np.empty(0)  # estimates at the last N streamed (none before N = 1)
     for start, b_hats, at_point in _estimate_chunks(config, n, grid):
-        members = np.count_nonzero((b_hats > lower) & (b_hats < upper), axis=0)
+        members = np.count_nonzero(interval.contains(b_hats), axis=0)
         passing = members / trials >= threshold
         if hit is None and passing.any():
             k = int(np.argmax(passing))
@@ -294,7 +365,10 @@ def _run_ce_lqr_single(config: CeLqrConfig, n: int) -> CeLqrRow:
         checked = previous
 
     stable, failed = decide.outcomes(checked)
-    if not np.array_equal(stable, (checked > lower) & (checked < upper)):
+    members = interval.contains(checked)
+    if interval.failed:
+        status = "interval-riccati-failure"
+    elif not np.array_equal(stable, members):
         status = "interval-mismatch"
     else:
         status = "saturated" if min_n is None else "ok"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hardstab import experiments, lmi
+from hardstab import bounds, experiments, lmi
 from hardstab.experiments import (
     CeLqrConfig,
     LmiSweepRow,
@@ -101,6 +101,56 @@ def _reference_chunks(config, n, stops):
             np.divide(cum_ur, cum_uu, out=b_hats[i])
         yield consumed, b_hats, True
         consumed = stop
+
+
+class _Memo:
+    """A _CeDecision's (stable, failed) outcomes with each estimate decided
+    once, in a stack of the estimates not seen before; sound because each
+    estimate gets the bits it would get alone."""
+
+    def __init__(self, decide):
+        self.decide, self.known = decide, {}
+
+    def __call__(self, b1_hats):
+        new = [b for b in dict.fromkeys(b1_hats.tolist()) if b not in self.known]
+        if new:
+            stable, failed = self.decide.outcomes(np.array(new))
+            self.known.update(zip(new, zip(stable.tolist(), failed.tolist())))
+        stable, failed = zip(*(self.known[b] for b in b1_hats.tolist()))
+        return np.array(stable), np.array(failed)
+
+
+def _full_edges(outcomes, center):
+    """Edges of the interval searched to the end, from the same outcomes."""
+    return experiments._stability_interval(lambda b1_hats: outcomes(b1_hats)[0], center)
+
+
+def _lazy_equals_full(outcomes, center, points):
+    """Lazy membership of each point alone, from a fresh interval each, and
+    of all points at once, against membership in the full edges."""
+    lower, upper = _full_edges(outcomes, center)
+    points = np.asarray(points, dtype=float)
+    expected = (points > lower) & (points < upper)
+    alone = [
+        experiments._StableInterval(outcomes, center).contains(points[k : k + 1])[0]
+        for k in range(points.size)
+    ]
+    np.testing.assert_array_equal(alone, expected)
+    together = experiments._StableInterval(outcomes, center).contains(points)
+    np.testing.assert_array_equal(together, expected)
+
+
+def _bracket_points(outcomes, center):
+    """Both ends, the midpoint and the float neighbours of each of these, of
+    every bracket the search passes through, the final ones included."""
+    interval = experiments._StableInterval(outcomes, center)
+    points = []
+    while True:
+        for stable, unstable in zip(interval._stable, interval._unstable):
+            for point in (stable, unstable, 0.5 * (stable + unstable)):
+                points += [point, np.nextafter(point, -np.inf), np.nextafter(point, np.inf)]
+        if not interval._bisect(np.ones(2, dtype=bool)):
+            return points
 
 
 def _whole_stream(chunks):
@@ -260,6 +310,102 @@ class TestStabilityInterval:
         )
 
 
+class TestLazyInterval:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_membership_of_streamed_estimates_matches_full_edges(self, n):
+        # one lazy interval asked about every chunk a default-seed row
+        # streams (and more: the rows stop by N = 446) answers as the edges
+        # searched to the end do
+        config = CeLqrConfig(seed=20240814)
+        outcomes = _Memo(experiments._CeDecision(HardFamilyParams(n=n, r=3.2, v=1.01)))
+        lower, upper = _full_edges(outcomes, 0.0)
+        interval = experiments._StableInterval(outcomes, 0.0)
+        stops = experiments._grid_points(n + 1, 500)
+        for _, b_hats, _ in experiments._estimate_chunks(config, n, stops):
+            np.testing.assert_array_equal(
+                interval.contains(b_hats), (b_hats > lower) & (b_hats < upper)
+            )
+
+    @pytest.mark.parametrize("n, b1", [(2, 0.0), (4, 0.0), (6, 0.0), (3, 0.2)])
+    def test_bracket_points_and_final_edges(self, n, b1):
+        # the estimates where laziness could go wrong: every bracket's ends,
+        # midpoint and their float neighbours, the final edges among them
+        params = HardFamilyParams(n=n, r=3.2, v=1.01, b1=b1)
+        outcomes = _Memo(experiments._CeDecision(params))
+        points = _bracket_points(outcomes, b1)
+        lower, upper = _full_edges(outcomes, b1)
+        edges = [lower, upper, np.nextafter(lower, -np.inf), np.nextafter(upper, np.inf)]
+        assert set(edges) <= set(points)
+        _lazy_equals_full(outcomes, b1, points)
+
+    def test_empty_interval_when_the_truth_is_unstable(self):
+        decided = []
+
+        def outcomes(b1_hats):
+            decided.append(b1_hats.size)
+            return (b1_hats > 1.0) & (b1_hats < 2.0), np.zeros(b1_hats.shape, dtype=bool)
+
+        interval = experiments._StableInterval(outcomes, 0.0)
+        points = np.array([0.0, np.nextafter(0.0, 1.0), -1e-6, 1e-6, 1.5, -1.0])
+        assert not interval.contains(points).any()
+        assert interval.edges() == (0.0, 0.0)
+        assert decided == [81] and not interval.failed
+
+    def test_bisection_cap(self):
+        # the 1e-200 edge that the 60-step cap stops short of, as in
+        # TestStabilityInterval: the capped edge answers as the full one
+        def outcomes(b1_hats):
+            return (b1_hats > 1e-200) & (b1_hats < 7.0), np.zeros(b1_hats.shape, dtype=bool)
+
+        lower, upper = _full_edges(outcomes, 5.0)
+        points = _bracket_points(outcomes, 5.0)
+        points += [0.0, 1e-300, 1e-200, np.nextafter(1e-200, 1.0), 1e-100, 1e-17, 7.0]
+        points += [0.5 * lower, 2.0 * lower, np.nextafter(7.0, 0.0)]
+        _lazy_equals_full(outcomes, 5.0, points)
+
+    def test_default_seed_n6_row_decides_few_interval_stacks(self, monkeypatch):
+        # the n = 6 row's estimates leave the brackets after the ladder and
+        # a few subtree stacks; the full search takes 1 + 13
+        calls = []
+
+        def recording_gain(params, b1_hat):
+            calls.append(np.size(b1_hat))
+            return ce_lqr_gain(params, b1_hat)
+
+        monkeypatch.setattr(experiments, "ce_lqr_gain", recording_gain)
+        row = run_ce_lqr(CeLqrConfig(n_values=(6,), seed=20240814)).rows[0]
+        assert (row.min_n, row.status) == (381, "ok")
+        assert calls[-1] == 400  # the direct check; every other call is the interval's
+        assert len(calls) - 1 <= 6
+
+    def test_lazy_membership_property(self):
+        # floats around the n = 2..4 edges, a few at a time, each set asked
+        # of a fresh lazy interval
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        cases = {}
+        for n in (2, 3, 4):
+            outcomes = _Memo(experiments._CeDecision(HardFamilyParams(n=n, r=3.2, v=1.01)))
+            cases[n] = outcomes, _full_edges(outcomes, 0.0)
+
+        def near(edge):
+            ulps = st.integers(-(2**12), 2**12).map(lambda k: edge + k * np.spacing(edge))
+            relative = st.floats(-1e-3, 1e-3).map(lambda t: edge * (1.0 + t))
+            return st.one_of(ulps, relative)
+
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+        @hypothesis.given(st.sampled_from([2, 3, 4]), st.data())
+        def check(n, data):
+            outcomes, (lower, upper) = cases[n]
+            points = np.array(
+                data.draw(st.lists(st.one_of(near(lower), near(upper)), min_size=1, max_size=4))
+            )
+            got = experiments._StableInterval(outcomes, 0.0).contains(points)
+            np.testing.assert_array_equal(got, (points > lower) & (points < upper))
+
+        check()
+
+
 class TestRunCeLqr:
     def test_small_dimensions(self):
         config = CeLqrConfig(n_values=(2, 3, 4), trials=100, seed=11)
@@ -361,6 +507,36 @@ class TestRunCeLqr:
         assert at_stops == stops
         np.testing.assert_array_equal(stacked, reference)
 
+    @pytest.mark.parametrize("cap, trials", [(None, 200), (1, 37), (80, 37)])
+    def test_trial_batches_match_a_per_trial_stream(self, monkeypatch, cap, trials):
+        # each chunk reads its trials through open_loop in batches of at most
+        # bounds._CHUNK_ELEMENTS draws: the default cap, one-trial batches,
+        # and (cap 80, five-column chunks at n = 3) batches of 4 trials
+        # whose last holds 1; every estimate is the per-trial stream's float
+        config = CeLqrConfig(seed=7, trials=trials, true_b1=0.2)
+        if cap is not None:
+            monkeypatch.setattr(bounds, "_CHUNK_ELEMENTS", cap)
+            monkeypatch.setattr(experiments, "_CHUNK_ESTIMATES", 2 * 5 * trials)
+        counts = []
+        open_loop = InputPolicy.open_loop
+
+        def recording(policy, generators, count, horizon, n):
+            counts.append(count)
+            return open_loop(policy, generators, count, horizon, n)
+
+        monkeypatch.setattr(InputPolicy, "open_loop", recording)
+        stops = experiments._grid_points(4, 400)
+        batched, _ = _whole_stream(experiments._estimate_chunks(config, 3, stops))
+        batches = list(counts)
+        reference, _ = _whole_stream(_reference_chunks(config, 3, stops))
+        np.testing.assert_array_equal(batched, reference)
+        if cap is None:
+            assert max(batches) == trials and 1 < min(batches) < trials
+        elif cap == 1:
+            assert set(batches) == {1}
+        else:
+            assert {4, 1} <= set(batches)
+
     def test_chunked_streams_match_whole_segments(self, monkeypatch):
         # prefix sums carried across chunk boundaries reproduce the search
         # exactly, however the streams are cut
@@ -407,6 +583,27 @@ class TestRunCeLqr:
         assert row.min_n > 1
         assert row.synthesis_failures == 6
 
+    @pytest.mark.parametrize("rung, status", [(0, "interval-riccati-failure"), (39, "ok")])
+    def test_failed_ladder_rung_marks_the_row(self, monkeypatch, rung, status):
+        # a Riccati failure counts as "does not stabilize".  On the stable
+        # rung 1e-6 it ends the right side's climb, so the edges rest on it
+        # and the row says so (the narrowed interval would also read as a
+        # mismatch); on a rung past the first unstable one it is never used
+        failing = 1e-6 * 2.0**rung
+
+        def failing_gain(params, b1_hat):
+            gains, failed = ce_lqr_gain(params, b1_hat)
+            return gains, failed | (np.ravel(b1_hat) == failing)
+
+        config = CeLqrConfig(n_values=(4,), trials=50, seed=20240814, max_probe_length=200)
+        clean = run_ce_lqr(config).rows[0]
+        monkeypatch.setattr(experiments, "ce_lqr_gain", failing_gain)
+        row = run_ce_lqr(config).rows[0]
+        assert row.status == status
+        assert row.synthesis_failures == 0
+        if status == "ok":
+            assert (row.min_n, row.rate_at_min_n) == (clean.min_n, clean.rate_at_min_n)
+
     def test_saturated_search_reports_the_direct_rate_at_the_cap(self):
         config = CeLqrConfig(n_values=(6,), trials=50, seed=20240814, max_probe_length=40)
         row = run_ce_lqr(config).rows[0]
@@ -416,14 +613,13 @@ class TestRunCeLqr:
 
     def test_narrowed_interval_is_reported_as_mismatch(self, monkeypatch):
         # a wrong interval model must show up in the row, with the rate that
-        # direct synthesis measures at the N the model chose
-        real = experiments._stability_interval
+        # direct synthesis measures at the N the model chose.  Membership of
+        # 2 b1_hat around the truth 0 is membership in the halved interval
+        class Narrowed(experiments._StableInterval):
+            def contains(self, b1_hats):
+                return super().contains(2.0 * b1_hats)
 
-        def narrowed(decide, center):
-            lower, upper = real(decide, center)
-            return (0.5 * lower, 0.5 * upper)
-
-        monkeypatch.setattr(experiments, "_stability_interval", narrowed)
+        monkeypatch.setattr(experiments, "_StableInterval", Narrowed)
         config = CeLqrConfig(n_values=(4,), seed=20240814)
         row = run_ce_lqr(config).rows[0]
         assert row.status == "interval-mismatch"
