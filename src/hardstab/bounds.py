@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import Prng
-from .systems import CSV_FLOAT, HardFamilyParams, HardPair, InputPolicy, simulate
+from .systems import CSV_FLOAT, HardFamilyParams, HardPair, InputPolicy, open_loop_batch, simulate
 
 
 class DegenerateNoiseError(ValueError):
@@ -90,14 +90,6 @@ def kl_upper_bound(horizon: int, m: float, sigma_u2: float, sigma_w2: float) -> 
     if horizon < 0 or not sigma_u2 >= 0:
         raise ValueError("horizon and sigma_u2 must be nonnegative")
     return horizon * m * m * sigma_u2 / (2.0 * sigma_w2)
-
-
-# Cap on the float64 stream draws a kl_monte_carlo process holds at once
-# (64 KiB): a chunk of trials of at most this many draws, but at least one
-# trial.  The worker processes' parts are whole runs of chunks.
-# The chunk and its log-ratio temporaries add to peak memory; 2**14 measurably
-# raised it, 2**13 did not and was as fast.
-_CHUNK_ELEMENTS = 1 << 13
 
 
 def _log_ratios(m: float, u: np.ndarray, w1: np.ndarray, sigma_w2: float) -> np.ndarray:
@@ -187,12 +179,13 @@ def kl_monte_carlo(
     differs between the siblings, so the ratio reduces to the residual form
     ((w - m u)^2 - w^2) / (2 sigma_w^2) summed over steps.  Trial i draws
     from stream index rng.stream + i, so the estimate is deterministic given
-    the rng's (seed, stream).  Trials are taken a chunk of consecutive
-    trials at a time, and each chunk's ratios are computed in one array
-    expression.  Open-loop policies read the chunk's streams through one
-    Prng.streams() iterator; a custom policy rolls the chunk out in lockstep
-    through one simulate() call, each trial on its own Prng, so the
-    estimate is bit for bit what one simulate() call per trial gives.
+    the rng's (seed, stream).  Trials are taken a chunk of
+    open_loop_batch(horizon, n) consecutive trials at a time, and each
+    chunk's ratios are computed in one array expression.  Open-loop
+    policies read the chunk's streams through one Prng.streams() iterator;
+    a custom policy rolls the chunk out in lockstep through one simulate()
+    call, each trial on its own Prng, so the estimate is bit for bit what
+    one simulate() call per trial gives.
 
     The chunks are split into contiguous parts, one per usable CPU (the
     CPUs os.sched_getaffinity allows, at most one per chunk; one part when
@@ -219,7 +212,7 @@ def kl_monte_carlo(
 
     m = pair.m
     n = pair.s1.n
-    per_chunk = max(1, _CHUNK_ELEMENTS // (horizon * (n + 1)))
+    per_chunk = open_loop_batch(horizon, n)
     chunks = -(-trials // per_chunk)
     workers = min(_usable_cpus(), chunks)
     edges = [min(trials, chunks * k // workers * per_chunk) for k in range(workers + 1)]

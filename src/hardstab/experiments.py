@@ -22,11 +22,10 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import bounds
 from .lmi import BISECTION_TOLERANCE, bisect_largest_m
 from .numerics import Prng
 from .synthesis import FeedbackGain, ce_lqr_gain, is_stabilizing
-from .systems import CSV_FLOAT, HardFamilyParams, InputPolicy, hard_system
+from .systems import CSV_FLOAT, HardFamilyParams, InputPolicy, hard_system, open_loop_batch
 
 
 @dataclass(frozen=True)
@@ -115,9 +114,6 @@ class _CeDecision:
             solved = FeedbackGain(k=gains.k[~failed])
             stable[~failed] = is_stabilizing(self.true_system, solved).stable
         return stable, failed
-
-    def __call__(self, b1_hats: np.ndarray) -> np.ndarray:
-        return self.outcomes(b1_hats)[0]
 
 
 # The interval search's doubling ladder: offsets 1e-6 * 2^j from the truth.
@@ -243,17 +239,6 @@ class _StableInterval:
         return True
 
 
-def _stability_interval(decide, center: float) -> tuple[float, float]:
-    """Edges (lo, hi) of the _StableInterval of ``decide``'s stable masks,
-    refined to the end; (center, center) when the truth itself does not
-    stabilize."""
-
-    def outcomes(b1_hats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return decide(b1_hats), np.zeros(b1_hats.shape, dtype=bool)
-
-    return _StableInterval(outcomes, center).edges()
-
-
 # Successive trajectory lengths the search stops at grow by this factor
 _GRID_RATIO = 1.2
 
@@ -282,12 +267,11 @@ def _estimate_chunks(
 
     Trial i owns the persistent stream Prng(seed, i), read by the i.i.d.
     Gaussian policy's InputPolicy.open_loop, as simulate() reads it, in
-    batches of consecutive trials of at most bounds._CHUNK_ELEMENTS draws
-    (at least one trial).  Each batch's products u u and u res fill its
-    trials' rows of one (2, trials, width + 1) array whose first column
-    holds the sums carried from the previous chunk; one cumsum along the
-    path turns it into prefix sums, and one divide writes the estimates
-    over the u res row.  A cumsum along an
+    batches of open_loop_batch(width, n) consecutive trials.  Each batch's
+    products u u and u res fill its trials' rows of one (2, trials,
+    width + 1) array whose first column holds the sums carried from the
+    previous chunk; one cumsum along the path turns it into prefix sums, and
+    one divide writes the estimates over the u res row.  A cumsum along an
     axis adds in path order, so every estimate is bit-identical to a cumsum
     over the whole path of that trial alone.
     """
@@ -300,7 +284,7 @@ def _estimate_chunks(
     for stop in stops:
         while consumed < stop:
             width = min(chunk, stop - consumed)
-            batch = max(1, bounds._CHUNK_ELEMENTS // (width * (1 + n)))
+            batch = open_loop_batch(width, n)
             sums = np.empty((2, config.trials, width + 1))
             sums[:, :, 0] = carried
             for first in range(0, config.trials, batch):

@@ -21,6 +21,11 @@ is re-verified in the original variables by direct substitution.  A probe
 is "feasible" when a certificate verifies, "infeasible" when the duality gap
 closes first, and "inconclusive" when the iteration cap or a numerical
 breakdown comes first.
+
+CostabLmiProblem.blocks is the one statement of the block layout.  The
+blocks are linear in (Q, Y), so the solver's derivative basis is those
+blocks evaluated at unit vectors, and the solver and the substitution check
+read the same problem.
 """
 
 from __future__ import annotations
@@ -70,16 +75,19 @@ class CostabLmiProblem:
 
     def blocks(self, q: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
         """The three symmetric blocks [M1, M2, Q] evaluated at (Q, Y), each a
-        fresh array: M_i = [[Q, (A Q + B_i Y)'], [A Q + B_i Y, Q]]."""
+        fresh array: M_i = [[Q, (A Q + B_i Y)'], [A Q + B_i Y, Q]].  Q may be
+        a stack (..., n, n) with Y (..., 1, n); each block is then the stack
+        of the elements' blocks."""
         n = self.n
-        y = np.asarray(y, dtype=float).reshape(1, -1)
+        q = np.asarray(q, dtype=float)
+        y = np.asarray(y, dtype=float).reshape(q.shape[:-2] + (1, n))
         aq = self.a @ q
-        pair = np.empty((2, 2 * n, 2 * n))
-        pair[:, :n, :n] = pair[:, n:, n:] = q
-        pair[0, n:, :n] = aq + self.b1 @ y
-        pair[1, n:, :n] = aq + self.b2 @ y
-        pair[:, :n, n:] = pair[:, n:, :n].transpose(0, 2, 1)
-        return [pair[0], pair[1], np.array(q, dtype=float)]
+        pair = np.empty((2,) + q.shape[:-2] + (2 * n, 2 * n))
+        pair[..., :n, :n] = pair[..., n:, n:] = q
+        pair[0, ..., n:, :n] = aq + self.b1 @ y
+        pair[1, ..., n:, :n] = aq + self.b2 @ y
+        pair[..., :n, n:] = np.swapaxes(pair[..., n:, :n], -1, -2)
+        return [pair[0], pair[1], q.copy()]
 
     def balance(self) -> np.ndarray:
         """Diagonal scaling d_j = (v/r)^(n-j) that equalizes the family's
@@ -211,12 +219,13 @@ def _verify_certificate(
     )
 
 
-class _BarrierState:
-    """The margin problem in congruence-transformed coordinates.
+class _SolverFrame:
+    """The solver's coordinate frame: the margin problem in
+    congruence-transformed coordinates.
 
     Variables are x = (svec(Q), Y) with trace(Q) = n fixed; the three blocks
-    are linear in x.  ``transform`` maps solver coordinates back to the
-    original ones: Q_orig = T Q T', Y_orig = Y T'.
+    are linear in x, with no constant term.  ``transform`` maps solver
+    coordinates back to the original ones: Q_orig = T Q T', Y_orig = Y T'.
 
     The start is Q = I in coordinates set by the warm start (Q_w, Y_w):
     T = chol(sym(Q_w)), Y = Y_w T^-T.  Without one, or if that factor or its
@@ -264,38 +273,23 @@ class _BarrierState:
     def _build_basis(self):
         """basis[i][j] is the derivative of the slack block F_i(x) - t I along
         coordinate j of y = (z, t), where x = start + plane @ z: dim - 1
-        directions in the plane, then t."""
-        n, k, d = self.n, self.q_dim, self.dim
-        # e[a] is the symmetric unit matrix of svec coordinate a
-        e = np.zeros((k, n, n))
-        e[np.arange(k), self.q_rows, self.q_cols] = 1.0
-        e[np.arange(k), self.q_cols, self.q_rows] = 1.0
-        ae = self.scaled.a @ e
-        tensors = []
-        for b in (self.scaled.b1, self.scaled.b2):
-            g = np.zeros((d, 2 * n, 2 * n))
-            g[:k, :n, :n] = e
-            g[:k, n:, n:] = e
-            g[:k, n:, :n] = ae
-            g[:k, :n, n:] = ae.transpose(0, 2, 1)
-            for j in range(n):
-                g[k + j, n:, j] = b.ravel()
-                g[k + j, j, n:] = b.ravel()
-            tensors.append(g)
-        gq = np.zeros((d, n, n))
-        gq[:k] = e
-        tensors.append(gq)
+        directions in the plane, then t.  F is linear in x, so its
+        derivative along coordinate a of x is F at the unit vector e_a."""
+        tensors = self.scaled.blocks(*self.unpack(np.eye(self.dim)))
         self.basis = [
             np.concatenate([np.tensordot(self.plane.T, g, axes=1), -np.eye(g.shape[1])[None]])
             for g in tensors
         ]
-        self.basis_flat = [g.reshape(d, -1) for g in self.basis]
+        self.basis_flat = [g.reshape(self.dim, -1) for g in self.basis]
 
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q = np.zeros((self.n, self.n))
-        q[self.q_rows, self.q_cols] = x[: self.q_dim]
-        q[self.q_cols, self.q_rows] = x[: self.q_dim]
-        y = x[self.q_dim :].reshape(1, self.n)
+        """(Q, Y) of x, or of each row of a stack x (..., dim) as (..., n, n)
+        and (..., 1, n)."""
+        stack = x.shape[:-1]
+        q = np.zeros(stack + (self.n, self.n))
+        q[..., self.q_rows, self.q_cols] = x[..., : self.q_dim]
+        q[..., self.q_cols, self.q_rows] = x[..., : self.q_dim]
+        y = x[..., self.q_dim :].reshape(stack + (1, self.n))
         return q, y
 
     def blocks(self, x: np.ndarray) -> list[np.ndarray]:
@@ -308,14 +302,15 @@ class _BarrierState:
 
 
 class _Round(NamedTuple):
-    """How one round of path following ended, at its last iterate (x, t)."""
+    """How one round of path following ended, at its last iterate (x, t).
+    A round without a certificate closed exactly when gap <= _GAP_CLOSED:
+    every other end carries a larger gap, or NaN."""
 
     certificate: Optional[LmiCertificate]
     x: np.ndarray
     t: float
     gap: float  # <X, S>
     iterations: int
-    closed: bool  # the gap reached _GAP_CLOSED
 
 
 def _max_step(factor_inv: np.ndarray, step: np.ndarray) -> float:
@@ -324,9 +319,9 @@ def _max_step(factor_inv: np.ndarray, step: np.ndarray) -> float:
     return math.inf if lam >= 0 else -1.0 / lam
 
 
-def _path_follow(problem: CostabLmiProblem, state: _BarrierState) -> _Round:
+def _path_follow(problem: CostabLmiProblem, frame: _SolverFrame) -> _Round:
     """One round of infeasible-start primal-dual path following on the
-    margin problem in the state's coordinates.
+    margin problem in the frame's coordinates.
 
     The dual iterate is y = (z, t) with x = start + plane @ z and slack
     S = F(x) - t I, rebuilt from (x, t) at every iterate, so the dual
@@ -341,32 +336,32 @@ def _path_follow(problem: CostabLmiProblem, state: _BarrierState) -> _Round:
     the first verified certificate, once the duality gap <X, S> is at most
     _GAP_CLOSED, when X or S loses its Cholesky factor (breakdown), or after
     _MAX_ITERATIONS iterations."""
-    x = state.start
-    t = min(float(np.linalg.eigvalsh(m)[0]) for m in state.blocks(x)) - 1.0
-    order = sum(basis.shape[1] for basis in state.basis)
-    xs = [np.eye(basis.shape[1]) / order for basis in state.basis]
-    target = np.zeros(state.dim)  # the objective t
+    x = frame.start
+    t = min(float(np.linalg.eigvalsh(m)[0]) for m in frame.blocks(x)) - 1.0
+    order = sum(basis.shape[1] for basis in frame.basis)
+    xs = [np.eye(basis.shape[1]) / order for basis in frame.basis]
+    target = np.zeros(frame.dim)  # the objective t
     target[-1] = 1.0
     gap = math.nan
     iterations = 0
     while True:
-        ss = state.blocks(x)
+        ss = frame.blocks(x)
         for s in ss:
             s.reshape(-1)[:: s.shape[0] + 1] -= t
         try:
             x_factors = [np.linalg.cholesky(m) for m in xs]
             s_inv = [np.linalg.inv(np.linalg.cholesky(m)) for m in ss]
         except np.linalg.LinAlgError:
-            return _Round(None, x, t, gap, iterations, False)
+            return _Round(None, x, t, gap, iterations)
         gap = sum(float(np.vdot(xm, s)) for xm, s in zip(xs, ss))
         if t > 0:
-            certificate = _verify_certificate(problem, *state.to_original(x))
+            certificate = _verify_certificate(problem, *frame.to_original(x))
             if certificate is not None:
-                return _Round(certificate, x, t, gap, iterations, False)
+                return _Round(certificate, x, t, gap, iterations)
         if gap <= _GAP_CLOSED:
-            return _Round(None, x, t, gap, iterations, True)
+            return _Round(None, x, t, gap, iterations)
         if iterations == _MAX_ITERATIONS:
-            return _Round(None, x, t, gap, iterations, False)
+            return _Round(None, x, t, gap, iterations)
         iterations += 1
 
         x_inv = [np.linalg.inv(lx) for lx in x_factors]
@@ -375,21 +370,21 @@ def _path_follow(problem: CostabLmiProblem, state: _BarrierState) -> _Round:
         # Its conditioning grows like 1/gap^2 on these degenerate problems, and
         # a plain Cholesky factor fails near gap 1e-7; a ridge of 1e-15 of its
         # trace keeps it until the gap nears 1e-13.
-        schur = np.zeros((state.dim, state.dim))
-        for basis, lx, si in zip(state.basis, x_factors, s_inv):
-            u = (lx.T @ basis @ si.T).reshape(state.dim, -1)
+        schur = np.zeros((frame.dim, frame.dim))
+        for basis, lx, si in zip(frame.basis, x_factors, s_inv):
+            u = (lx.T @ basis @ si.T).reshape(frame.dim, -1)
             schur += u @ u.T
-        schur.reshape(-1)[:: state.dim + 1] += _RIDGE * np.trace(schur)
+        schur.reshape(-1)[:: frame.dim + 1] += _RIDGE * np.trace(schur)
         try:
             factor = np.linalg.cholesky(schur)
         except np.linalg.LinAlgError:
-            return _Round(None, x, t, gap, iterations, False)
+            return _Round(None, x, t, gap, iterations)
 
         def direction(rhs, centre, second):
             """HKM direction: dS = sum dy_j D_j, and dX the symmetric part of
             centre S^-1 - X - (X dS + second) S^-1."""
             dy = np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
-            ds = [(dy @ flat).reshape(z.shape) for flat, z in zip(state.basis_flat, zs)]
+            ds = [(dy @ flat).reshape(z.shape) for flat, z in zip(frame.basis_flat, zs)]
             dx = []
             for xm, d, z, c in zip(xs, ds, zs, second):
                 w = centre * z - xm - (xm @ d + c) @ z
@@ -403,7 +398,7 @@ def _path_follow(problem: CostabLmiProblem, state: _BarrierState) -> _Round:
 
         def pairing(ws):
             """(sum over the blocks i of <D_ij, W_i>) for each coordinate j."""
-            return sum(flat @ w.ravel() for flat, w in zip(state.basis_flat, ws))
+            return sum(flat @ w.ravel() for flat, w in zip(frame.basis_flat, ws))
 
         mu = gap / order
         _, dx, ds = direction(target, 0.0, [0.0] * len(xs))
@@ -418,7 +413,7 @@ def _path_follow(problem: CostabLmiProblem, state: _BarrierState) -> _Round:
         dy, dx, ds = direction(rhs, sigma * mu, second)
         alpha_x, alpha_s = steps(dx, ds, _STEP_FRACTION)
         xs = [xm + alpha_x * a for xm, a in zip(xs, dx)]
-        x = x + alpha_s * (state.plane @ dy[:-1])
+        x = x + alpha_s * (frame.plane @ dy[:-1])
         t += alpha_s * dy[-1]
 
 
@@ -447,20 +442,21 @@ def check_feasible(
     below the rounding floor.
     "inconclusive": every round hit _MAX_ITERATIONS or broke down first.
     """
-    state = _BarrierState(problem, warm_start)
+    frame = _SolverFrame(problem, warm_start)
     iterations = 0
     closed = False
     for _ in range(_MAX_ROUNDS):
-        outcome = _path_follow(problem, state)
+        outcome = _path_follow(problem, frame)
         iterations += outcome.iterations
         if outcome.certificate is not None:
             return replace(outcome.certificate, iterations=iterations)
-        closed = closed or outcome.closed
-        if outcome.closed and state.warm:
+        if outcome.gap <= _GAP_CLOSED:
+            closed = True
+            if frame.warm:
+                break
+        if np.linalg.eigvalsh(frame.unpack(outcome.x)[0])[0] <= 0:
             break
-        if np.linalg.eigvalsh(state.unpack(outcome.x)[0])[0] <= 0:
-            break
-        state = _BarrierState(problem, state.to_original(outcome.x))
+        frame = _SolverFrame(problem, frame.to_original(outcome.x))
     return InfeasibleReport(
         best_margin=outcome.t,
         status="infeasible" if closed else "inconclusive",

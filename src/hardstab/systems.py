@@ -243,6 +243,19 @@ class InputPolicy:
         return float("nan")
 
 
+# Float64 stream draws (64 KiB) that a batched open-loop reader holds at
+# once.  A batch and its temporaries add to peak memory: in kl_monte_carlo
+# 2**14 measurably raised it, 2**13 did not and was as fast.
+_BATCH_DRAWS = 1 << 13
+
+
+def open_loop_batch(horizon: int, n: int) -> int:
+    """Rollouts per InputPolicy.open_loop call that keep its draws, horizon
+    steps of one input and n noise coordinates each, within _BATCH_DRAWS;
+    at least one."""
+    return max(1, _BATCH_DRAWS // (horizon * (n + 1)))
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Input/state sample path with its (seed, stream) provenance.

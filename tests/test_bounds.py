@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from hardstab import bounds
+from hardstab import bounds, systems
 from hardstab.bounds import (
     BirgeSpec,
     DegenerateNoiseError,
@@ -125,8 +125,8 @@ class TestKlMonteCarlo:
         # parts than chunks, so the default cap always runs one)
         for workers in (1, 2, 3):
             monkeypatch.setattr(bounds, "_usable_cpus", lambda: workers)
-            for chunk_elements in (bounds._CHUNK_ELEMENTS, 1, 7 * 36 + 5):
-                monkeypatch.setattr(bounds, "_CHUNK_ELEMENTS", chunk_elements)
+            for batch_draws in (systems._BATCH_DRAWS, 1, 7 * 36 + 5):
+                monkeypatch.setattr(systems, "_BATCH_DRAWS", batch_draws)
                 report = kl_monte_carlo(pair, policy, horizon, trials, Prng(seed, first))
                 assert report.mc_estimate == float(np.mean(log_ratios))
                 assert report.mc_std_error == float(np.std(log_ratios, ddof=1) / math.sqrt(trials))
@@ -138,9 +138,9 @@ class TestKlMonteCarlo:
         # the children still run, and they must not outlive the call
         pair = make_hard_pair(PARAMS2, 0.05, noise_variance=0.005)
         policy = InputPolicy.custom(lambda t, u, x, gen: float("nan") if t == 3 else 1.0)
-        for workers, chunk_elements in ((1, bounds._CHUNK_ELEMENTS), (3, 1)):
+        for workers, batch_draws in ((1, systems._BATCH_DRAWS), (3, 1)):
             monkeypatch.setattr(bounds, "_usable_cpus", lambda: workers)
-            monkeypatch.setattr(bounds, "_CHUNK_ELEMENTS", chunk_elements)
+            monkeypatch.setattr(systems, "_BATCH_DRAWS", batch_draws)
             with pytest.raises(DivergedTrajectoryError) as err:
                 kl_monte_carlo(pair, policy, 10, 200, Prng(7, 30))
             assert err.value.step == 4
@@ -190,7 +190,7 @@ class TestKlMonteCarlo:
     def test_failed_child_part_is_computed_in_the_parent(self, failure, monkeypatch):
         pair = make_hard_pair(PARAMS2, 0.05, noise_variance=0.005)
         policy = InputPolicy.iid_gaussian(32.0)
-        monkeypatch.setattr(bounds, "_CHUNK_ELEMENTS", 1)
+        monkeypatch.setattr(systems, "_BATCH_DRAWS", 1)
         monkeypatch.setattr(bounds, "_usable_cpus", lambda: 1)
         serial = kl_monte_carlo(pair, policy, 12, 150, Prng(17, 40))
         parent, ratios = os.getpid(), bounds._ratios
@@ -209,7 +209,7 @@ class TestKlMonteCarlo:
     def test_failed_fork_leaves_the_parts_to_the_parent(self, monkeypatch):
         pair = make_hard_pair(PARAMS2, 0.05, noise_variance=0.005)
         policy = InputPolicy.iid_gaussian(32.0)
-        monkeypatch.setattr(bounds, "_CHUNK_ELEMENTS", 1)
+        monkeypatch.setattr(systems, "_BATCH_DRAWS", 1)
         monkeypatch.setattr(bounds, "_usable_cpus", lambda: 1)
         serial = kl_monte_carlo(pair, policy, 12, 150, Prng(17, 40))
         fork = os.fork
@@ -229,7 +229,7 @@ class TestKlMonteCarlo:
     def test_no_fork_where_it_is_unsafe_or_unsized(self, case, monkeypatch):
         pair = make_hard_pair(PARAMS2, 0.05, noise_variance=0.005)
         policy = InputPolicy.iid_gaussian(32.0)
-        monkeypatch.setattr(bounds, "_CHUNK_ELEMENTS", 1)
+        monkeypatch.setattr(systems, "_BATCH_DRAWS", 1)
         expected = kl_monte_carlo(pair, policy, 12, 150, Prng(17, 40))
 
         def no_fork():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hardstab import bounds, experiments, lmi
+from hardstab import experiments, lmi, systems
 from hardstab.experiments import (
     CeLqrConfig,
     LmiSweepRow,
@@ -49,19 +49,25 @@ def _direct_rate(config, n, length):
     return stable / config.trials
 
 
-def _decide_one(decide, b1_hat):
+def _never_failing(decide):
+    """(stable, failed) outcomes of a synthetic stable-mask rule ``decide``
+    whose decisions never fail."""
+    return lambda b1_hats: (decide(b1_hats), np.zeros(b1_hats.shape, dtype=bool))
+
+
+def _decide_one(outcomes, b1_hat):
     """One estimate's decision, from a stack of one."""
-    return bool(decide(np.array([b1_hat]))[0])
+    return bool(outcomes(np.array([b1_hat]))[0][0])
 
 
-def _one_sided_edge(decide, center, step):
+def _one_sided_edge(outcomes, center, step):
     """Reference search for one edge, one decision per call: double the
     offset from the stable truth while it stays stable (deciding offsets up
     to 1e6; the next counts as unstable), then bisect between the last
     stable and the first unstable estimate until the midpoint rounds to one
     of them, at most 60 times."""
     stable, offset = center, step
-    while _decide_one(decide, center + offset):
+    while _decide_one(outcomes, center + offset):
         stable, offset = center + offset, 2 * offset
         if abs(offset) > 1e6:
             break
@@ -70,7 +76,7 @@ def _one_sided_edge(decide, center, step):
         mid = 0.5 * (stable + unstable)
         if mid == stable or mid == unstable:
             break
-        if _decide_one(decide, mid):
+        if _decide_one(outcomes, mid):
             stable = mid
         else:
             unstable = mid
@@ -122,7 +128,7 @@ class _Memo:
 
 def _full_edges(outcomes, center):
     """Edges of the interval searched to the end, from the same outcomes."""
-    return experiments._stability_interval(lambda b1_hats: outcomes(b1_hats)[0], center)
+    return experiments._StableInterval(outcomes, center).edges()
 
 
 def _lazy_equals_full(outcomes, center, points):
@@ -197,14 +203,14 @@ class TestStabilityInterval:
 
         def recording(b1_hat):
             decided.extend(np.ravel(b1_hat).tolist())
-            return decide(b1_hat)
+            return decide.outcomes(b1_hat)
 
-        lower, upper = experiments._stability_interval(recording, 0.0)
+        lower, upper = _full_edges(recording, 0.0)
         assert len(decided) == len(set(decided))
         assert lower < 0.0 < upper
-        assert _decide_one(decide, lower) and _decide_one(decide, upper)
-        assert not _decide_one(decide, np.nextafter(lower, -np.inf))
-        assert not _decide_one(decide, np.nextafter(upper, np.inf))
+        assert _decide_one(decide.outcomes, lower) and _decide_one(decide.outcomes, upper)
+        assert not _decide_one(decide.outcomes, np.nextafter(lower, -np.inf))
+        assert not _decide_one(decide.outcomes, np.nextafter(upper, np.inf))
 
     def test_ladder_stack_then_subtrees_inside_brackets(self):
         # one call for the truth and the whole doubling ladder of both sides,
@@ -231,11 +237,11 @@ class TestStabilityInterval:
             if calls:
                 brackets.append((bracket(-1.0), bracket(1.0)))
             calls.append(b1_hats.copy())
-            stable = decide(b1_hats)
+            stable, failed = decide.outcomes(b1_hats)
             verdicts.update(zip(b1_hats.tolist(), stable.tolist()))
-            return stable
+            return stable, failed
 
-        experiments._stability_interval(recording, 0.0)
+        _full_edges(recording, 0.0)
         ladder, *subtrees = calls
         assert ladder[0] == 0.0
         assert np.count_nonzero(ladder < 0.0) == np.count_nonzero(ladder > 0.0) == 40
@@ -249,46 +255,42 @@ class TestStabilityInterval:
     @pytest.mark.parametrize("n, b1", [(n, 0.0) for n in range(2, 9)] + [(2, 0.2), (3, 0.2)])
     def test_edges_match_a_one_sided_search(self, n, b1):
         # each edge is the float that a plain search of that side alone finds
-        decide = experiments._CeDecision(HardFamilyParams(n=n, r=3.2, v=1.01, b1=b1))
-        lower, upper = experiments._stability_interval(decide, b1)
-        assert lower.hex() == _one_sided_edge(decide, b1, -1e-6).hex()
-        assert upper.hex() == _one_sided_edge(decide, b1, 1e-6).hex()
+        outcomes = experiments._CeDecision(HardFamilyParams(n=n, r=3.2, v=1.01, b1=b1)).outcomes
+        lower, upper = _full_edges(outcomes, b1)
+        assert lower.hex() == _one_sided_edge(outcomes, b1, -1e-6).hex()
+        assert upper.hex() == _one_sided_edge(outcomes, b1, 1e-6).hex()
 
     def test_ladder_reaches_1e6_and_no_further(self):
         # a stable set wider than the ladder: the left edge stops just inside
         # the undecided rung -1e-6 * 2^40, as the one-sided search does
-        def decide(b1_hats):
-            return (b1_hats > -3e6) & (b1_hats < 7e5)
-
-        lower, upper = experiments._stability_interval(decide, 0.0)
-        assert lower.hex() == _one_sided_edge(decide, 0.0, -1e-6).hex()
-        assert upper.hex() == _one_sided_edge(decide, 0.0, 1e-6).hex()
+        outcomes = _never_failing(lambda b1_hats: (b1_hats > -3e6) & (b1_hats < 7e5))
+        lower, upper = _full_edges(outcomes, 0.0)
+        assert lower.hex() == _one_sided_edge(outcomes, 0.0, -1e-6).hex()
+        assert upper.hex() == _one_sided_edge(outcomes, 0.0, 1e-6).hex()
         assert -1e-6 * 2**40 < lower < -1e6
 
     def test_bisection_cap_binds_as_in_a_one_sided_search(self):
         # an edge at 1e-200 below the truth 5: the left bracket would halve
         # hundreds of times before its midpoint rounded, so the 60-step cap
         # ends that side, at the float the one-sided search stops at
-        def decide(b1_hats):
-            return (b1_hats > 1e-200) & (b1_hats < 7.0)
-
-        lower, upper = experiments._stability_interval(decide, 5.0)
-        assert lower.hex() == _one_sided_edge(decide, 5.0, -1e-6).hex()
-        assert upper.hex() == _one_sided_edge(decide, 5.0, 1e-6).hex()
-        assert 1e-200 < lower < 1e-17 and _decide_one(decide, np.nextafter(lower, -np.inf))
+        outcomes = _never_failing(lambda b1_hats: (b1_hats > 1e-200) & (b1_hats < 7.0))
+        lower, upper = _full_edges(outcomes, 5.0)
+        assert lower.hex() == _one_sided_edge(outcomes, 5.0, -1e-6).hex()
+        assert upper.hex() == _one_sided_edge(outcomes, 5.0, 1e-6).hex()
+        assert 1e-200 < lower < 1e-17 and _decide_one(outcomes, np.nextafter(lower, -np.inf))
         assert np.nextafter(upper, np.inf) == 7.0
 
     def test_interval_around_a_nonzero_truth(self):
         # the estimate 0 does not stabilize the truth b1 = 0.2; the search
         # starts from the truth
         params = HardFamilyParams(n=3, r=3.2, v=1.01, b1=0.2)
-        decide = experiments._CeDecision(params)
-        lower, upper = experiments._stability_interval(decide, params.b1)
-        assert not _decide_one(decide, 0.0)
+        outcomes = experiments._CeDecision(params).outcomes
+        lower, upper = _full_edges(outcomes, params.b1)
+        assert not _decide_one(outcomes, 0.0)
         assert lower < 0.2 < upper
-        assert _decide_one(decide, lower) and _decide_one(decide, upper)
-        assert not _decide_one(decide, np.nextafter(lower, -np.inf))
-        assert not _decide_one(decide, np.nextafter(upper, np.inf))
+        assert _decide_one(outcomes, lower) and _decide_one(outcomes, upper)
+        assert not _decide_one(outcomes, np.nextafter(lower, -np.inf))
+        assert not _decide_one(outcomes, np.nextafter(upper, np.inf))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_dense_scan_decides_by_interval_membership(self, n):
@@ -300,14 +302,27 @@ class TestStabilityInterval:
         # the decision is not monotone there; the rows' direct check guards
         # the estimates they count
         decide = experiments._CeDecision(HardFamilyParams(n=n, r=3.2, v=1.01))
-        lower, upper = experiments._stability_interval(decide, 0.0)
+        lower, upper = _full_edges(decide.outcomes, 0.0)
         width = upper - lower
         scan = np.linspace(lower - width / 2, upper + width / 2, 801)
-        decided = decide(scan)
+        decided = decide.outcomes(scan)[0]
         judged = np.minimum(np.abs(scan - lower), np.abs(scan - upper)) > 1e-9 * width
         np.testing.assert_array_equal(
             decided[judged], ((scan > lower) & (scan < upper))[judged]
         )
+
+
+    @pytest.mark.parametrize("v", [1.01, 1.09])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_interval_meets_its_closed_form(self, n, v):
+        # analytic oracle: the stable interval is about +-(v/r)^n around the
+        # truth (measured: width 1.0016-1.0148 times 2 (v/r)^n, midpoint
+        # 0.25-1.24% of the width from the truth)
+        params = HardFamilyParams(n=n, r=3.2, v=v)
+        lower, upper = _full_edges(experiments._CeDecision(params).outcomes, params.b1)
+        width = upper - lower
+        assert width / (2 * (v / params.r) ** n) == pytest.approx(1.0, abs=0.02)
+        assert abs(0.5 * (lower + upper) - params.b1) <= 0.02 * width
 
 
 class TestLazyInterval:
@@ -510,12 +525,12 @@ class TestRunCeLqr:
     @pytest.mark.parametrize("cap, trials", [(None, 200), (1, 37), (80, 37)])
     def test_trial_batches_match_a_per_trial_stream(self, monkeypatch, cap, trials):
         # each chunk reads its trials through open_loop in batches of at most
-        # bounds._CHUNK_ELEMENTS draws: the default cap, one-trial batches,
+        # systems._BATCH_DRAWS draws: the default cap, one-trial batches,
         # and (cap 80, five-column chunks at n = 3) batches of 4 trials
         # whose last holds 1; every estimate is the per-trial stream's float
         config = CeLqrConfig(seed=7, trials=trials, true_b1=0.2)
         if cap is not None:
-            monkeypatch.setattr(bounds, "_CHUNK_ELEMENTS", cap)
+            monkeypatch.setattr(systems, "_BATCH_DRAWS", cap)
             monkeypatch.setattr(experiments, "_CHUNK_ESTIMATES", 2 * 5 * trials)
         counts = []
         open_loop = InputPolicy.open_loop

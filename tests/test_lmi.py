@@ -90,6 +90,15 @@ class TestProblemConstruction:
             np.testing.assert_array_equal(q, q_before)
             np.testing.assert_array_equal(y, y_before)
             block[...] = expected[i]
+        # a (2, 3) stack of (Q, Y) gives each element's blocks, bit for bit
+        g = rng.standard_normal((2, 3, n, n))
+        qs = g + np.swapaxes(g, -1, -2)
+        ys = rng.standard_normal((2, 3, 1, n))
+        stacked = problem.blocks(qs, ys)
+        assert [block.shape for block in stacked] == [(2, 3, 2 * n, 2 * n)] * 2 + [(2, 3, n, n)]
+        for index in np.ndindex(2, 3):
+            for block, alone in zip(stacked, problem.blocks(qs[index], ys[index])):
+                np.testing.assert_array_equal(block[index], alone)
 
     def test_duplicate_blocks_at_m_zero(self):
         problem = build_costab_lmi(make_hard_pair(PARAMS2, 0.0))
@@ -104,6 +113,40 @@ class TestProblemConstruction:
         cert = check_feasible(problem)
         assert cert.feasible
         assert_certificate_sound(problem, cert, 1e-6)
+
+
+class TestSolverFrame:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_basis_is_the_derivative_of_the_slack_blocks(self, n, warm):
+        # the blocks are linear in x = (svec Q, Y), so at y = (z, t) the slack
+        # blocks F(start + plane @ z) - t I are F(start) + sum_j y_j basis[j];
+        # Q is rebuilt from svec (upper triangle, row by row) here, apart
+        # from the frame's unpack
+        problem = build_costab_lmi(make_hard_pair(HardFamilyParams(n=n, r=3.2, v=1.01), 1e-3))
+        certificate = check_feasible(problem) if warm else None
+        frame = lmi._SolverFrame(problem, certificate and (certificate.q, certificate.y))
+        assert frame.warm == warm
+        rows, cols = np.triu_indices(n)
+
+        def slack_blocks(x, t):
+            q = np.zeros((n, n))
+            q[rows, cols] = x[: rows.size]
+            q += np.triu(q, 1).T
+            blocks = frame.scaled.blocks(q, x[rows.size :].reshape(1, n))
+            return [block - t * np.eye(len(block)) for block in blocks]
+
+        rng = np.random.default_rng(10 * n + warm)
+        for _ in range(3):
+            y = rng.standard_normal(frame.dim)
+            expected = slack_blocks(frame.start + frame.plane @ y[:-1], y[-1])
+            for block, at_start, basis in zip(expected, slack_blocks(frame.start, 0.0), frame.basis):
+                np.testing.assert_allclose(
+                    at_start + np.tensordot(y, basis, axes=1),
+                    block,
+                    rtol=0,
+                    atol=1e-12 * np.abs(block).max(),
+                )
 
 
 class TestCheckFeasible:
@@ -212,6 +255,16 @@ class TestBisection:
             + [feasible, infeasible, feasible] + [infeasible] * 2
             + [feasible] * 2 + [infeasible] * 2 + [feasible, infeasible]
         )
+
+    def test_boundary_meets_its_closed_form(self, golden_bisections):
+        # analytic oracle (a conjecture from measurement, not a proof): the
+        # boundary is 2 v^n / (r^(n-1) (r - 1)), and the bisection's feasible
+        # end lies just below it (closed form / m* measured 1.0005-1.0008 at
+        # n = 2..4 with tolerance 1e-3)
+        r, v = 3.2, 1.01
+        for n, result in golden_bisections.items():
+            closed_form = 2 * v**n / (r ** (n - 1) * (r - 1))
+            assert 1.0 < closed_form / result.largest_feasible_m <= 1.002
 
     def test_path_following_work(self, golden_runs):
         # the n = 2 bisection's 14 probes report 82 path-following
