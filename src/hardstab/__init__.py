@@ -1,60 +1,3 @@
 """Numerical laboratory for hard-to-stabilize linear system families."""
 
-from .bounds import (
-    BirgeBound,
-    BirgeSpec,
-    BirgeThreshold,
-    KlReport,
-    birge_kl_threshold,
-    birge_min_samples,
-    kl_monte_carlo,
-    kl_upper_bound,
-)
-from .experiments import CeLqrConfig, CeLqrResult, run_ce_lqr, run_lmi_sweep
-from .lmi import (
-    BisectionResult,
-    CostabLmiProblem,
-    LmiCertificate,
-    bisect_largest_m,
-    build_costab_lmi,
-    check_feasible,
-)
-from .numerics import (
-    DareError,
-    DareSolution,
-    Prng,
-    RootFindingError,
-    gaussian_sample,
-    poly_eval,
-    poly_from_roots,
-    poly_roots,
-    solve_dare,
-    spectral_radius,
-)
-from .synthesis import (
-    CostabBoundReport,
-    FeedbackGain,
-    JuryReport,
-    StabilityReport,
-    ackermann_gain,
-    ce_lqr_gain,
-    closed_loop_charpoly,
-    costab_bound,
-    is_stabilizing,
-    jury_necessary,
-    k1_closed_form,
-    perturbed_charpoly,
-)
-from .systems import (
-    HardFamilyParams,
-    HardPair,
-    InputPolicy,
-    LtiSystem,
-    Trajectory,
-    controllability_matrix,
-    ls_estimate_b1,
-    make_hard_pair,
-    simulate,
-)
-
 __version__ = "0.1.0"

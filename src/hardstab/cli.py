@@ -308,10 +308,11 @@ def _run(args: argparse.Namespace) -> None:
         print(f"theorem m            = {bound.theorem_m:.12g}")
 
     elif args.command == "lmi-bisect":
-        result = lmi.bisect_largest_m(_params(args), tolerance=args.tolerance)
+        params = _params(args)
+        result = lmi.bisect_largest_m(params, tolerance=args.tolerance)
         print(f"largest feasible m = {result.largest_feasible_m:.12g}")
         print(f"bracket = [{result.bracket[0]:.12g}, {result.bracket[1]:.12g}]")
-        print(f"sup bound = {result.sup_bound:.12g}, theorem m = {result.theorem_m:.12g}")
+        print(f"sup bound = {params.sup_bound:.12g}, theorem m = {params.theorem_m:.12g}")
         print(f"iterations = {result.iterations}")
         print(f"status = {result.status}")
         if result.certificate is not None:

@@ -41,7 +41,6 @@ class CeLqrConfig:
     sigma_w2: float = 0.005
     trials: int = 200
     success_threshold: float = 0.9
-    max_probe_length: int = 10**6
     seed: int = 0
 
     def __post_init__(self):
@@ -49,12 +48,13 @@ class CeLqrConfig:
             raise ValueError("success threshold must lie in (0, 1]")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        # sigma_u2 = 0 would make every estimate 0/0, and a negative variance
-        # has no square root; either row would stream to max_probe_length
-        if not self.sigma_u2 > 0:
-            raise ValueError("sigma_u2 must be positive")
-        if not self.sigma_w2 >= 0:
-            raise ValueError("sigma_w2 must be nonnegative")
+        # sigma_u2 = 0 would make every estimate 0/0, an infinite variance
+        # makes every estimate NaN, and a negative one has no square root;
+        # each row would stream to _MAX_PROBE_LENGTH
+        if not 0 < self.sigma_u2 < np.inf:
+            raise ValueError("sigma_u2 must be positive and finite")
+        if not 0 <= self.sigma_w2 < np.inf:
+            raise ValueError("sigma_w2 must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class CeLqrRow:
     rate_at_min_n: float
     synthesis_failures: int
     # "ok": min_N found and the direct check agrees with interval membership;
-    # "saturated": no N up to max_probe_length reaches the threshold;
+    # "saturated": no N up to _MAX_PROBE_LENGTH reaches the threshold;
     # "interval-riccati-failure": a Riccati solve failed on a decision the
     # interval's edges rest on, so membership, and min_N, may be wrong;
     # "interval-mismatch": direct synthesis contradicted interval membership
@@ -75,7 +75,6 @@ class CeLqrRow:
 
 @dataclass(frozen=True)
 class CeLqrResult:
-    config: CeLqrConfig
     rows: tuple[CeLqrRow, ...]
 
     CSV_HEADER = "n,min_N,rate_at_min_N,synthesis_failures,status,wall_time_s"
@@ -241,6 +240,8 @@ class _StableInterval:
 
 # Successive trajectory lengths the search stops at grow by this factor
 _GRID_RATIO = 1.2
+# Longest trajectory the search streams before it reports "saturated"
+_MAX_PROBE_LENGTH = 10**6
 
 
 def _grid_points(start: int, cap: int) -> list[int]:
@@ -253,7 +254,7 @@ def _grid_points(start: int, cap: int) -> list[int]:
 
 # Running sums held at once per stream chunk (two trials x columns float64
 # arrays, the second overwritten by the estimates), so long segments near
-# max_probe_length stay a few MiB.
+# _MAX_PROBE_LENGTH stay a few MiB.
 _CHUNK_ESTIMATES = 1 << 18
 
 
@@ -326,7 +327,7 @@ def _run_ce_lqr_single(config: CeLqrConfig, n: int) -> CeLqrRow:
 
     trials = config.trials
     threshold = config.success_threshold
-    grid = _grid_points(n + 1, config.max_probe_length)
+    grid = _grid_points(n + 1, _MAX_PROBE_LENGTH)
 
     min_n = None
     hit = None  # (N, estimates at N then N - 1): first pass since the last failing point
@@ -370,7 +371,7 @@ def run_ce_lqr(config: CeLqrConfig) -> CeLqrResult:
     """Minimum-sample search across dimensions; deterministic given the seed
     (wall times excepted)."""
     rows = tuple(_run_ce_lqr_single(config, n) for n in config.n_values)
-    return CeLqrResult(config=config, rows=rows)
+    return CeLqrResult(rows=rows)
 
 
 LMI_SWEEP_HEADER = "n,r,v,largest_m,log10_largest_m,sup_bound,iterations,status"
@@ -413,7 +414,7 @@ def run_lmi_sweep(
                 r=r,
                 v=v,
                 largest_m=result.largest_feasible_m,
-                sup_bound=result.sup_bound,
+                sup_bound=params.sup_bound,
                 iterations=result.iterations,
                 status=result.status,
             )

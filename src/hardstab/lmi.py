@@ -143,9 +143,9 @@ class BisectionResult:
     largest_feasible_m: float
     bracket: tuple[float, float]
     iterations: int
+    # the verified certificate at largest_feasible_m; None when m = 0
+    # could not be certified
     certificate: Optional[LmiCertificate]
-    sup_bound: float
-    theorem_m: float
     conservative: bool
     trace: tuple = ()
     # the probe cap stopped the bisection while its bracket could still
@@ -154,9 +154,12 @@ class BisectionResult:
 
     @property
     def status(self) -> str:
-        """'unconverged' when the probe cap stopped the bisection short of
-        its tolerance, else 'conservative' when an inconclusive probe was
+        """'uncertified' when not even m = 0 could be certified, else
+        'unconverged' when the probe cap stopped the bisection short of its
+        tolerance, else 'conservative' when an inconclusive probe was
         counted as infeasible, else 'ok'."""
+        if self.certificate is None:
+            return "uncertified"
         if self.capped:
             return "unconverged"
         return "conservative" if self.conservative else "ok"
@@ -479,22 +482,27 @@ def bisect_largest_m(
     trace lies below every infeasible one.  The bisection stops at the
     relative tolerance, or earlier once the midpoint rounds to an end of the
     bracket; a bisection stopped first by the _MAX_PROBES cap reports status
-    'unconverged'.
+    'unconverged'.  When m = 0 cannot be certified, the result has status
+    'uncertified', largest m 0, no certificate and no probes.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tolerance < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     theorem_m = params.theorem_m
 
     lo = 0.0
+    hi = theorem_m
     outcome = check_feasible(build_costab_lmi(make_hard_pair(params, 0.0)))
     if not outcome.feasible:
-        raise RuntimeError(
-            f"could not certify feasibility at m = 0 for n = {params.n}; "
-            f"solver status {outcome.status}"
+        return BisectionResult(
+            largest_feasible_m=lo,
+            bracket=(lo, hi),
+            iterations=0,
+            certificate=None,
+            conservative=False,
+            trace=((0.0, outcome.status),),
         )
     certificate = outcome
 
-    hi = theorem_m
     trace = [(0.0, "feasible"), (theorem_m, "infeasible-analytic")]
     conservative = False
     capped = False
@@ -523,8 +531,6 @@ def bisect_largest_m(
         bracket=(lo, hi),
         iterations=iterations,
         certificate=certificate,
-        sup_bound=params.sup_bound,
-        theorem_m=theorem_m,
         conservative=conservative,
         trace=tuple(trace),
         capped=capped,

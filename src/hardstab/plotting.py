@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 
 WIDTH, HEIGHT = 640, 480
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 72, 24, 24, 56
@@ -25,8 +26,10 @@ def _read_columns(csv_path, x_column: str, y_column: str) -> tuple[list[float], 
             x_field, y_field = row[x_column], row[y_column]
             if x_field in ("", None) or y_field in ("", None):
                 continue
-            xs.append(float(x_field))
-            ys.append(float(y_field))
+            x, y = float(x_field), float(y_field)
+            if math.isfinite(x) and math.isfinite(y):
+                xs.append(x)
+                ys.append(y)
     if not xs:
         raise ValueError(f"no plottable data rows in {csv_path}")
     return xs, ys
@@ -46,7 +49,8 @@ def _scale(values: list[float], lo_pix: float, hi_pix: float):
 
 def render_plot(csv_path, x_column: str, y_column: str, svg_path) -> str:
     """Self-contained SVG line chart of y against x; byte-deterministic for
-    fixed input.  Nothing is written when the data is empty or a column is
+    fixed input.  Rows with an empty or non-finite value in either column
+    are skipped; nothing is written when no row is left or a column is
     missing."""
     xs, ys = _read_columns(csv_path, x_column, y_column)
     x_pix, x_lo, x_hi = _scale(xs, MARGIN_LEFT, WIDTH - MARGIN_RIGHT)

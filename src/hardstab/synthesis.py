@@ -237,21 +237,3 @@ def recovered_poles(params: HardFamilyParams, gain: FeedbackGain) -> np.ndarray:
     polynomial; carries root-finding error for externally supplied gains."""
     return poly_roots(closed_loop_charpoly(params, gain))
 
-
-__all__ = [
-    "CostabBoundReport",
-    "FeedbackGain",
-    "IllConditionedError",
-    "JuryReport",
-    "PoleSetError",
-    "StabilityReport",
-    "ackermann_gain",
-    "ce_lqr_gain",
-    "closed_loop_charpoly",
-    "costab_bound",
-    "is_stabilizing",
-    "jury_necessary",
-    "k1_closed_form",
-    "perturbed_charpoly",
-    "recovered_poles",
-]

@@ -101,6 +101,16 @@ class TestSubcommands:
         capped = run_cli(capsys, "lmi-bisect", "--n", "2", "--tolerance", "1e-300")
         assert "status = unconverged\n" in capped
 
+    def test_uncertified_zero_is_a_sweep_status(self, capsys, monkeypatch):
+        # no certificate even at m = 0: the row says so instead of raising
+        def inconclusive(problem, *args, **kwargs):
+            return InfeasibleReport(best_margin=-1.0, status="inconclusive")
+
+        monkeypatch.setattr(cli.lmi, "check_feasible", inconclusive)
+        assert "status = uncertified\n" in run_cli(capsys, "lmi-bisect", "--n", "2")
+        out = run_cli(capsys, "exp-lmi-sweep", "--n-values", "2")
+        assert out.splitlines()[1].endswith(",0,-inf,0.84305785123966925,0,uncertified")
+
     def test_config_file_defaults_and_flag_override(self, capsys, tmp_path):
         config = tmp_path / "lab.cfg"
         config.write_text("n = 3\nr = 3.2\nv = 1.01\n")
@@ -132,6 +142,54 @@ class TestSubcommands:
             read_config(bad)
 
 
+# Wall-time-free tables at fixed seeds, pinned byte for byte
+GOLDEN_TABLES = {
+    "ce-lqr-seed-20240814": (
+        ["exp-ce-lqr", "--n-values", "2,3,4,5,6", "--seed", "20240814"],
+        [
+            "n,min_N,rate_at_min_N,synthesis_failures,status",
+            "2,1,0.94999999999999996,0,ok",
+            "3,2,0.94499999999999995,0,ok",
+            "4,6,0.90500000000000003,0,ok",
+            "5,52,0.90000000000000002,0,ok",
+            "6,381,0.90000000000000002,0,ok",
+        ],
+    ),
+    "ce-lqr-seed-7": (
+        ["exp-ce-lqr", "--n-values", "2,3,4,5,6", "--seed", "7"],
+        [
+            "n,min_N,rate_at_min_N,synthesis_failures,status",
+            "2,1,0.93000000000000005,0,ok",
+            "3,2,0.93500000000000005,0,ok",
+            "4,7,0.93999999999999995,0,ok",
+            "5,43,0.91500000000000004,0,ok",
+            "6,490,0.90500000000000003,0,ok",
+        ],
+    ),
+    "lmi-sweep-v-1.01": (
+        ["exp-lmi-sweep", "--n-values", "2,3,4", "--v", "1.01"],
+        [
+            "n,r,v,largest_m,log10_largest_m,sup_bound,iterations,status",
+            "2,3.2000000000000002,1.01,0.28959531169292352,-0.53820847328419363,"
+            "0.84305785123966925,13,ok",
+            "3,3.2000000000000002,1.01,0.091421237547177264,-1.038952904067554,"
+            "0.77408039068369627,15,ok",
+            "4,3.2000000000000002,1.01,0.02884804989361597,-1.5398835394949622,"
+            "0.71074654053684827,16,ok",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("table", GOLDEN_TABLES)
+def test_golden_table(capsys, table):
+    argv, expected = GOLDEN_TABLES[table]
+    lines = run_cli(capsys, *argv).splitlines()
+    if argv[0] == "exp-ce-lqr":
+        lines = [line.rsplit(",", 1)[0] for line in lines]  # drop wall_time_s
+    assert lines == expected
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, message",
@@ -142,6 +200,15 @@ class TestUsageErrors:
             (["--config"], "argument --config: expected one argument"),
             (["pair", "--config"], "argument --config: expected one argument"),
             (["--conf", "lab.cfg", "pair"], "argument command: invalid choice: 'lab.cfg'"),
+            # a non-finite value would otherwise end in a wrong "ok" or
+            # "saturated" row
+            (["lmi-bisect", "--n", "2", "--tolerance", "nan"], "tolerance must be positive and finite"),
+            (
+                ["exp-lmi-sweep", "--n-values", "2,3", "--tolerance", "inf"],
+                "tolerance must be positive and finite",
+            ),
+            (["exp-ce-lqr", "--sigma-u2", "inf"], "sigma_u2 must be positive and finite"),
+            (["exp-ce-lqr", "--sigma-w2", "inf"], "sigma_w2 must be nonnegative and finite"),
         ],
     )
     def test_rejected_value_exits_with_usage_message(self, capsys, argv, message):
@@ -297,6 +364,20 @@ def test_import_starts_no_process_machinery():
     assert run.stdout.strip() == "[]"
 
 
+def test_importing_a_module_loads_only_what_it_uses():
+    """The package root re-exports nothing, so importing hardstab.numerics
+    loads no other hardstab module."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "import hardstab.numerics; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'hardstab'))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "['hardstab', 'hardstab.numerics']"
+
+
 class TestPlot:
     def make_csv(self, tmp_path, rows):
         path = tmp_path / "data.csv"
@@ -323,6 +404,26 @@ class TestPlot:
         csv_path = self.make_csv(tmp_path, [])
         svg_path = tmp_path / "plot.svg"
         with pytest.raises(ValueError):
+            render_plot(csv_path, "a", "b", svg_path)
+        assert not svg_path.exists()
+
+    def test_non_finite_rows_are_skipped(self, tmp_path):
+        # a sweep row with largest m = 0 has log10_largest_m = -inf
+        csv_path = self.make_csv(tmp_path, ["2,-inf", "3,1", "4,nan", "5,2", "inf,3"])
+        svg_path = tmp_path / "plot.svg"
+        render_plot(csv_path, "a", "b", svg_path)
+        svg = svg_path.read_text()
+        points = re.search(r'points="([^"]+)"', svg).group(1)
+        assert len(points.split(" ")) == 2
+        assert "nan" not in svg and "inf" not in svg
+        finite = tmp_path / "finite.svg"
+        render_plot(self.make_csv(tmp_path, ["3,1", "5,2"]), "a", "b", finite)
+        assert finite.read_bytes() == svg_path.read_bytes()
+
+    def test_only_non_finite_rows_error(self, tmp_path):
+        csv_path = self.make_csv(tmp_path, ["2,-inf", "3,nan"])
+        svg_path = tmp_path / "plot.svg"
+        with pytest.raises(ValueError, match="no plottable data rows"):
             render_plot(csv_path, "a", "b", svg_path)
         assert not svg_path.exists()
 

@@ -193,6 +193,14 @@ class TestCeLqrConfig:
             CeLqrConfig(sigma_w2=-0.005)
         assert CeLqrConfig(sigma_w2=0.0).sigma_w2 == 0.0
 
+    @pytest.mark.parametrize("field", ["sigma_u2", "sigma_w2"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_variance_is_rejected(self, field, value):
+        # an infinite variance makes every estimate NaN, so the row would
+        # stream to the cap and read "saturated"
+        with pytest.raises(ValueError, match=f"{field} must be .* finite"):
+            CeLqrConfig(**{field: value})
+
 
 class TestStabilityInterval:
     def test_no_estimate_decided_twice(self):
@@ -610,7 +618,8 @@ class TestRunCeLqr:
             gains, failed = ce_lqr_gain(params, b1_hat)
             return gains, failed | (np.ravel(b1_hat) == failing)
 
-        config = CeLqrConfig(n_values=(4,), trials=50, seed=20240814, max_probe_length=200)
+        monkeypatch.setattr(experiments, "_MAX_PROBE_LENGTH", 200)
+        config = CeLqrConfig(n_values=(4,), trials=50, seed=20240814)
         clean = run_ce_lqr(config).rows[0]
         monkeypatch.setattr(experiments, "ce_lqr_gain", failing_gain)
         row = run_ce_lqr(config).rows[0]
@@ -619,8 +628,9 @@ class TestRunCeLqr:
         if status == "ok":
             assert (row.min_n, row.rate_at_min_n) == (clean.min_n, clean.rate_at_min_n)
 
-    def test_saturated_search_reports_the_direct_rate_at_the_cap(self):
-        config = CeLqrConfig(n_values=(6,), trials=50, seed=20240814, max_probe_length=40)
+    def test_saturated_search_reports_the_direct_rate_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_MAX_PROBE_LENGTH", 40)
+        config = CeLqrConfig(n_values=(6,), trials=50, seed=20240814)
         row = run_ce_lqr(config).rows[0]
         assert row.status == "saturated"
         assert row.min_n is None
@@ -641,12 +651,11 @@ class TestRunCeLqr:
         assert row.min_n is not None
         assert row.rate_at_min_n == _direct_rate(config, 4, row.min_n)
 
-    def test_nonzero_truth_rows_agree_with_direct_synthesis(self):
+    def test_nonzero_truth_rows_agree_with_direct_synthesis(self, monkeypatch):
         # b1_hat = 0 does not stabilize this truth, so an interval searched
         # from 0 instead of the truth disagrees with direct synthesis
-        config = CeLqrConfig(
-            n_values=(2, 3), true_b1=0.2, max_probe_length=2000, seed=20240814
-        )
+        monkeypatch.setattr(experiments, "_MAX_PROBE_LENGTH", 2000)
+        config = CeLqrConfig(n_values=(2, 3), true_b1=0.2, seed=20240814)
         rows = run_ce_lqr(config).rows
         assert [row.status for row in rows] == ["ok", "ok"]
         for row in rows:

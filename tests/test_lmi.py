@@ -274,7 +274,7 @@ class TestBisection:
 
     def test_n2_boundary(self, golden_bisections):
         result = golden_bisections[2]
-        assert 0 < result.largest_feasible_m < result.sup_bound
+        assert 0 < result.largest_feasible_m < PARAMS2.sup_bound
         # cross-validated against two interior-point solvers on the same
         # convexification; regression baseline thereafter
         assert result.largest_feasible_m == pytest.approx(0.2888, abs=5e-3)
@@ -313,6 +313,30 @@ class TestBisection:
         assert lo <= 0.1 < hi and np.nextafter(lo, np.inf) == hi
         assert result.status == "ok"
 
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-3, np.nan, np.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            bisect_largest_m(PARAMS2, tolerance=tolerance)
+
+    @pytest.mark.parametrize("status", ["infeasible", "inconclusive"])
+    def test_uncertified_zero_reports_a_status(self, monkeypatch, status):
+        # past n = 12 even m = 0 may not be certified; the bisection then
+        # probes nothing further and reports largest m 0 without a certificate
+        probed = []
+
+        def never_feasible(problem, warm_start=None):
+            probed.append(float(problem.b2[0, 0] - problem.b1[0, 0]))
+            return InfeasibleReport(best_margin=-1.0, status=status)
+
+        monkeypatch.setattr(lmi, "check_feasible", never_feasible)
+        result = bisect_largest_m(PARAMS2)
+        assert probed == [0.0]
+        assert result.status == "uncertified"
+        assert result.largest_feasible_m == 0.0
+        assert result.certificate is None
+        assert result.iterations == 0
+        assert result.bracket == (0.0, PARAMS2.theorem_m)
+
     def test_probe_cap_reports_unconverged(self, monkeypatch):
         # feasible only at m = 0: the bracket halves towards 0 for over a
         # thousand steps before its midpoint rounds, so the probe cap stops
@@ -339,7 +363,7 @@ class TestBisection:
     def test_n3_below_sup_bound(self):
         params = HardFamilyParams(n=3, r=3.2, v=1.01)
         result = bisect_largest_m(params, tolerance=1e-2)
-        assert 0 < result.largest_feasible_m <= result.sup_bound
+        assert 0 < result.largest_feasible_m <= params.sup_bound
         assert_certificate_sound(
             build_costab_lmi(make_hard_pair(params, 0.0)), result.certificate, 0.0
         )
