@@ -8,7 +8,6 @@ presentation time only.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import threading
@@ -89,6 +88,8 @@ def kl_upper_bound(horizon: int, m: float, sigma_u2: float, sigma_w2: float) -> 
         raise DegenerateNoiseError("sigma_w2 must be positive for the KL bound")
     if horizon < 0 or not sigma_u2 >= 0:
         raise ValueError("horizon and sigma_u2 must be nonnegative")
+    if not math.isfinite(m):
+        raise ValueError(f"m must be finite, got {m}")
     return horizon * m * m * sigma_u2 / (2.0 * sigma_w2)
 
 
@@ -140,31 +141,6 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _fork_part(*part) -> tuple[int, io.BufferedReader]:
-    """Fork a child that writes the float64 bytes of _ratios(*part) to a
-    pipe and exits; return its pid and the pipe's read end."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        # never return into the caller's stack, run atexit handlers or flush
-        # the parent's stdio buffers: every path leaves through os._exit
-        code = 1
-        try:
-            with open(write_end, "wb") as pipe:
-                pipe.write(_ratios(*part))
-            code = 0
-        finally:
-            os._exit(code)
-    # closed before the next fork, so no later child holds it and EOF arrives
-    os.close(write_end)
-    return pid, open(read_end, "rb")
-
-
 def kl_monte_carlo(
     pair: HardPair,
     policy: InputPolicy,
@@ -187,20 +163,20 @@ def kl_monte_carlo(
     call, each trial on its own Prng, so the estimate is bit for bit what
     one simulate() call per trial gives.
 
-    The chunks are split into contiguous parts, one per usable CPU (the
-    CPUs os.sched_getaffinity allows, at most one per chunk; one part when
-    that call is missing or another thread is alive, since forking then is
+    The chunks are split into contiguous parts, one per usable CPU (the CPUs
+    os.sched_getaffinity allows, at most one per chunk; one part when that
+    call is missing or another thread is alive, since forking then is
     unsafe).  This process computes the first part; each other part is
-    computed in a child made with os.fork(), which sends its ratios back
-    through a pipe.  A trial's ratio depends on its own stream only, and
-    the mean and standard error are taken over all trials at once, so the
-    report is the same bit for bit for any number of parts.  A part whose
-    child fails (a nonzero exit or a short result) is computed again in
-    this process, in trial order, so a trial whose state leaves simulate()'s
-    divergence guard (including a non-finite state) raises the
-    DivergedTrajectoryError a single process raises: at the first step at
-    which any trial of the first such chunk does.  No child outlives the
-    call, whether it returns or raises.
+    computed in a child made with os.fork(), which writes its ratios into an
+    array shared with this process.  A trial's ratio depends on its own
+    stream only, and the mean and standard error are taken over all trials
+    at once, so the report is the same bit for bit for any number of parts.
+    A part whose child does not exit with status 0 (a child killed by a
+    signal included) is computed again in this process, in trial order, so a
+    trial whose state leaves simulate()'s divergence guard (including a
+    non-finite state) raises the DivergedTrajectoryError a single process
+    raises: at the first step at which any trial of the first such chunk
+    does.  No child outlives the call, whether it returns or raises.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
@@ -217,31 +193,40 @@ def kl_monte_carlo(
     workers = min(_usable_cpus(), chunks)
     edges = [min(trials, chunks * k // workers * per_chunk) for k in range(workers + 1)]
     parts = list(zip(edges, edges[1:]))
-    log_ratios = np.empty(trials)
-    children = {}  # part index -> (pid, read end) of a child not yet reaped
+    work = (pair, policy, horizon, rng, per_chunk)
+    import mmap  # not at module level: numpy does not load it, so it would cost start-up time
+
+    # an anonymous mapping is shared across fork: each child writes its part in place
+    log_ratios = np.frombuffer(mmap.mmap(-1, 8 * trials))
+    children = {}  # part index -> pid of a child not yet reaped
     try:
-        for k in range(1, workers):
+        for k, (first, stop) in enumerate(parts[1:], 1):
             try:
-                children[k] = _fork_part(pair, policy, horizon, rng, per_chunk, *parts[k])
+                pid = os.fork()
             except OSError:  # no process to be had: this process computes the rest
                 break
+            if pid == 0:
+                # never return into the caller's stack, run atexit handlers or flush
+                # the parent's stdio buffers: every path leaves through os._exit
+                code = 1
+                try:
+                    log_ratios[first:stop] = _ratios(*work, first, stop)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children[k] = pid
         for k, (first, stop) in enumerate(parts):
             if k in children:
-                pid, pipe = children[k]
-                part = log_ratios[first:stop]
-                filled = pipe.readinto(part) == part.nbytes
-                status = os.waitpid(pid, 0)[1]
+                status = os.waitpid(children[k], 0)[1]
                 del children[k]
-                pipe.close()
-                if filled and os.waitstatus_to_exitcode(status) == 0:
+                if os.waitstatus_to_exitcode(status) == 0:
                     continue
-            log_ratios[first:stop] = _ratios(pair, policy, horizon, rng, per_chunk, first, stop)
+            log_ratios[first:stop] = _ratios(*work, first, stop)
     finally:
         if children:
             import signal  # only on this path: the module costs start-up time
 
-            for pid, pipe in children.values():
-                pipe.close()
+            for pid in children.values():
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 

@@ -62,8 +62,8 @@ class LtiSystem:
             raise ValueError(f"A must be square, got shape {a.shape}")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("system matrices must be finite")
-        if not self.noise_variance >= 0:
-            raise ValueError("noise variance must be nonnegative")
+        if not 0 <= self.noise_variance < np.inf:
+            raise ValueError("noise variance must be nonnegative and finite")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -169,8 +169,8 @@ class InputPolicy:
 
     @staticmethod
     def iid_gaussian(sigma_u2: float) -> "InputPolicy":
-        if not sigma_u2 >= 0:
-            raise ValueError("sigma_u2 must be nonnegative")
+        if not 0 <= sigma_u2 < np.inf:
+            raise ValueError("sigma_u2 must be nonnegative and finite")
         return InputPolicy(kind="iid-gaussian", sigma_u2=sigma_u2)
 
     @staticmethod

@@ -1,5 +1,6 @@
 import math
 import os
+import signal
 import threading
 
 import numpy as np
@@ -47,6 +48,11 @@ class TestKlUpperBound:
             kl_upper_bound(10, 0.1, 32.0, float("nan"))
         with pytest.raises(ValueError):
             kl_upper_bound(10, 0.1, float("nan"), 0.005)
+
+    @pytest.mark.parametrize("m", [float("nan"), float("inf")])
+    def test_non_finite_m_rejected(self, m):
+        with pytest.raises(ValueError, match="m must be finite"):
+            kl_upper_bound(10, m, 32.0, 0.005)
 
 
 class TestKlMonteCarlo:
@@ -186,7 +192,7 @@ class TestKlMonteCarlo:
         kl_monte_carlo(pair, policy, 50, 2_000, Prng(3))
         assert len(stacks) == 12 and stacks == serial[:12]
 
-    @pytest.mark.parametrize("failure", ["exit-3", "short-result"])
+    @pytest.mark.parametrize("failure", ["exit-3", "short-result", "killed"])
     def test_failed_child_part_is_computed_in_the_parent(self, failure, monkeypatch):
         pair = make_hard_pair(PARAMS2, 0.05, noise_variance=0.005)
         policy = InputPolicy.iid_gaussian(32.0)
@@ -200,7 +206,9 @@ class TestKlMonteCarlo:
                 return ratios(*part)
             if failure == "exit-3":
                 os._exit(3)
-            return ratios(*part)[1:]  # short, and misaligned if it were taken
+            if failure == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return ratios(*part)[1:]  # short: writing it into the part raises in the child
 
         monkeypatch.setattr(bounds, "_ratios", failing_in_a_child)
         monkeypatch.setattr(bounds, "_usable_cpus", lambda: 3)

@@ -209,6 +209,13 @@ class TestUsageErrors:
             ),
             (["exp-ce-lqr", "--sigma-u2", "inf"], "sigma_u2 must be positive and finite"),
             (["exp-ce-lqr", "--sigma-w2", "inf"], "sigma_w2 must be nonnegative and finite"),
+            # an infinite variance would otherwise print a NaN estimate or
+            # end in a DivergedTrajectoryError traceback
+            (["kl-mc", "--sigma-w2", "inf"], "noise variance must be nonnegative and finite"),
+            (["kl-mc", "--sigma-u2", "inf"], "sigma_u2 must be nonnegative and finite"),
+            (["simulate", "--sigma-w2", "inf"], "noise variance must be nonnegative and finite"),
+            (["simulate", "--sigma-u2", "inf"], "sigma_u2 must be nonnegative and finite"),
+            (["kl-bound", "--horizon", "10", "--m", "nan"], "m must be finite, got nan"),
         ],
     )
     def test_rejected_value_exits_with_usage_message(self, capsys, argv, message):

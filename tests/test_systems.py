@@ -46,8 +46,8 @@ class TestHardPair:
             HardFamilyParams(n=2, r=0.9, v=0.01)
         with pytest.raises(ParameterError):
             make_hard_pair(PARAMS2, -0.5)
-        for variance in (-1.0, float("nan")):
-            with pytest.raises(ValueError, match="noise variance must be nonnegative"):
+        for variance in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="noise variance must be nonnegative and finite"):
                 make_hard_pair(PARAMS2, 0.1, noise_variance=variance)
 
     def test_shared_a(self):
@@ -256,7 +256,7 @@ class TestInputPolicy:
         with pytest.raises(ValueError, match="unknown policy kind 'bogus'"):
             InputPolicy(kind="bogus").open_loop(generators, 1, 5, 2)
 
-    @pytest.mark.parametrize("sigma_u2", [-1.0, float("nan")])
+    @pytest.mark.parametrize("sigma_u2", [-1.0, float("nan"), float("inf")])
     def test_iid_gaussian_rejects_bad_variance(self, sigma_u2):
         with pytest.raises(ValueError, match="sigma_u2 must be nonnegative"):
             InputPolicy.iid_gaussian(sigma_u2)
