@@ -84,10 +84,12 @@ class BirgeBound:
 
 def kl_upper_bound(horizon: int, m: float, sigma_u2: float, sigma_w2: float) -> float:
     """N m^2 sigma_u^2 / (2 sigma_w^2), in nats."""
-    if not sigma_w2 > 0:
-        raise DegenerateNoiseError("sigma_w2 must be positive for the KL bound")
-    if horizon < 0 or not sigma_u2 >= 0:
-        raise ValueError("horizon and sigma_u2 must be nonnegative")
+    if not 0 < sigma_w2 < math.inf:
+        raise DegenerateNoiseError("sigma_w2 must be positive and finite for the KL bound")
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    if not 0 <= sigma_u2 < math.inf:
+        raise ValueError("sigma_u2 must be nonnegative and finite")
     if not math.isfinite(m):
         raise ValueError(f"m must be finite, got {m}")
     return horizon * m * m * sigma_u2 / (2.0 * sigma_w2)

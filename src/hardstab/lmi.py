@@ -22,6 +22,11 @@ is "feasible" when a certificate verifies, "infeasible" when the duality gap
 closes first, and "inconclusive" when the iteration cap or a numerical
 breakdown comes first.
 
+bisect_largest_m's bracket starts at [0, theorem_m] and first widens
+around (2 / (r - 1)) * HardFamilyParams.scale, where the boundary is
+measured to lie, then bisects; the sweep's ``iterations`` column counts its
+probes after m = 0.
+
 CostabLmiProblem.blocks is the one statement of the block layout.  The
 blocks are linear in (Q, Y), so the solver's derivative basis is those
 blocks evaluated at unit vectors, and the solver and the substitution check
@@ -468,22 +473,40 @@ def check_feasible(
     )
 
 
+def _widening_offsets(tolerance: float):
+    """Relative offsets of bisect_largest_m's widening probes: tolerance / 2,
+    then square roots while below 1/4, then doublings, so an offset passes 1
+    within about log2(log2(1 / tolerance)) + 3 steps."""
+    offset = 0.5 * tolerance
+    while True:
+        yield offset
+        offset = math.sqrt(offset) if offset < 0.25 else 2.0 * offset
+
+
 def bisect_largest_m(
     params: HardFamilyParams, tolerance: float = BISECTION_TOLERANCE
 ) -> BisectionResult:
     """Largest perturbation for which the pair problem stays feasible.
 
-    The bracket starts at [0, params.theorem_m]; the upper end cannot admit a
-    common gain at all, so it is infeasible without solving.  Probes treat an
-    inconclusive solver status as infeasible and flag the result as
-    conservative.  The feasible endpoint's certificate warm-starts each probe.
-    Each probe lies strictly inside the bracket and becomes its lower end
-    when feasible, its upper end otherwise, so every feasible probe in the
-    trace lies below every infeasible one.  The bisection stops at the
-    relative tolerance, or earlier once the midpoint rounds to an end of the
-    bracket; a bisection stopped first by the _MAX_PROBES cap reports status
-    'unconverged'.  When m = 0 cannot be certified, the result has status
-    'uncertified', largest m 0, no certificate and no probes.
+    m = 0 is probed first; the bracket's upper end, params.theorem_m, cannot
+    admit a common gain at all, so it is infeasible without solving.  The
+    bracket then widens around the seed c = (2 / (r - 1)) * params.scale
+    (see HardFamilyParams.scale), the same for every call: probes at
+    c (1 - w) until one is feasible, then at c (1 + w) until one is
+    infeasible, w running through _widening_offsets; a widening that passes
+    an end of the bracket stops there.  Bisection then stops at the relative
+    tolerance, or earlier once the midpoint rounds to an end of the bracket;
+    one stopped first by the _MAX_PROBES cap, which counts the widening
+    probes too, reports status 'unconverged'.
+
+    Probes treat an inconclusive solver status as infeasible and flag the
+    result as conservative.  The feasible endpoint's certificate warm-starts
+    each probe.  Each probe lies strictly inside the bracket and becomes its
+    lower end when feasible, its upper end otherwise, so no probe repeats and
+    every feasible probe in the trace lies below every infeasible one.
+    ``iterations`` counts the probes after m = 0.  When m = 0 cannot be
+    certified, the result has status 'uncertified', largest m 0, no
+    certificate and no probes.
     """
     if not 0 < tolerance < math.inf:
         raise ValueError("tolerance must be positive and finite")
@@ -507,24 +530,50 @@ def bisect_largest_m(
     conservative = False
     capped = False
     iterations = 0
+
+    def probe(m: float) -> bool:
+        """Decide m, move the bracket's end on its side, and say whether m
+        was feasible."""
+        nonlocal lo, hi, certificate, conservative, iterations
+        outcome = check_feasible(
+            build_costab_lmi(make_hard_pair(params, m)),
+            warm_start=(certificate.q, certificate.y),
+        )
+        iterations += 1
+        if outcome.feasible:
+            lo = m
+            certificate = outcome
+            trace.append((m, "feasible"))
+        else:
+            hi = m
+            conservative = conservative or outcome.status == "inconclusive"
+            trace.append((m, outcome.status))
+        return outcome.feasible
+
+    # an offset below float resolution rounds m onto the seed, which the
+    # bracket checks keep from being probed twice
+    seed = 2.0 / (params.r - 1.0) * params.scale
+    for offset in _widening_offsets(tolerance):
+        m = seed * (1.0 - offset)
+        if m <= lo:
+            break
+        if m < hi and probe(m):
+            break
+    for offset in _widening_offsets(tolerance):
+        m = seed * (1.0 + offset)
+        if m >= hi:
+            break
+        if m > lo and not probe(m):
+            break
+
     while hi - lo > tolerance * max(lo, theorem_m * 1e-9):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # the bracket cannot shrink further
             break
-        if iterations == _MAX_PROBES:
+        if iterations >= _MAX_PROBES:
             capped = True
             break
-        problem = build_costab_lmi(make_hard_pair(params, mid))
-        outcome = check_feasible(problem, warm_start=(certificate.q, certificate.y))
-        iterations += 1
-        if outcome.feasible:
-            lo = mid
-            certificate = outcome
-            trace.append((mid, "feasible"))
-        else:
-            hi = mid
-            conservative = conservative or outcome.status == "inconclusive"
-            trace.append((mid, outcome.status))
+        probe(mid)
 
     return BisectionResult(
         largest_feasible_m=lo,

@@ -105,6 +105,17 @@ class HardFamilyParams:
         gain exists."""
         return 2 * self.sup_bound
 
+    @property
+    def scale(self) -> float:
+        """v^n / r^(n-1): the congruence T = diag((v/r)^(n-j)) with the input
+        scaled by 1/v maps the pair at m to the normalized pair at
+        mu = m / scale, so every LMI and co-stabilizability threshold is
+        mu*(n, r) * scale.  The LMI boundary measures mu* ~ 2/(r - 1) at
+        every n; that is a measured conjecture, not a proven value, and
+        bisect_largest_m uses it only as the point its bracket widens from:
+        every verdict still comes from a probe."""
+        return self.v**self.n / self.r ** (self.n - 1)
+
 
 def hard_matrices(n: int, r: float, v: float, b1) -> tuple[np.ndarray, np.ndarray]:
     """Raw (A, B) of the family; does not enforce the parameter range.  A 1-D

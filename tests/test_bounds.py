@@ -49,6 +49,12 @@ class TestKlUpperBound:
         with pytest.raises(ValueError):
             kl_upper_bound(10, 0.1, float("nan"), 0.005)
 
+    def test_infinite_variances_rejected(self):
+        with pytest.raises(DegenerateNoiseError, match="positive and finite"):
+            kl_upper_bound(10, 0.1, 32.0, float("inf"))
+        with pytest.raises(ValueError, match="sigma_u2 must be nonnegative and finite"):
+            kl_upper_bound(10, 0.1, float("inf"), 0.005)
+
     @pytest.mark.parametrize("m", [float("nan"), float("inf")])
     def test_non_finite_m_rejected(self, m):
         with pytest.raises(ValueError, match="m must be finite"):

@@ -170,12 +170,12 @@ GOLDEN_TABLES = {
         ["exp-lmi-sweep", "--n-values", "2,3,4", "--v", "1.01"],
         [
             "n,r,v,largest_m,log10_largest_m,sup_bound,iterations,status",
-            "2,3.2000000000000002,1.01,0.28959531169292352,-0.53820847328419363,"
-            "0.84305785123966925,13,ok",
-            "3,3.2000000000000002,1.01,0.091421237547177264,-1.038952904067554,"
-            "0.77408039068369627,15,ok",
-            "4,3.2000000000000002,1.01,0.02884804989361597,-1.5398835394949622,"
-            "0.71074654053684827,16,ok",
+            "2,3.2000000000000002,1.01,0.28965623579545452,-0.53811711745871016,"
+            "0.84305785123966925,3,ok",
+            "3,3.2000000000000002,1.01,0.091422749422940333,-1.0389457219959735,"
+            "0.77408039068369627,3,ok",
+            "4,3.2000000000000002,1.01,0.028855305286615538,-1.5397743265332371,"
+            "0.71074654053684827,3,ok",
         ],
     ),
 }
@@ -216,6 +216,15 @@ class TestUsageErrors:
             (["simulate", "--sigma-w2", "inf"], "noise variance must be nonnegative and finite"),
             (["simulate", "--sigma-u2", "inf"], "sigma_u2 must be nonnegative and finite"),
             (["kl-bound", "--horizon", "10", "--m", "nan"], "m must be finite, got nan"),
+            # an infinite variance would otherwise print a bound of 0 or inf
+            (
+                ["kl-bound", "--horizon", "10", "--m", "0.1", "--sigma-w2", "inf"],
+                "sigma_w2 must be positive and finite for the KL bound",
+            ),
+            (
+                ["kl-bound", "--horizon", "10", "--m", "0.1", "--sigma-u2", "inf"],
+                "sigma_u2 must be nonnegative and finite",
+            ),
         ],
     )
     def test_rejected_value_exits_with_usage_message(self, capsys, argv, message):

@@ -10,6 +10,8 @@ from hardstab.synthesis import is_stabilizing
 from hardstab.systems import HardFamilyParams, make_hard_pair
 
 PARAMS2 = HardFamilyParams(n=2, r=3.2, v=1.01)
+# the bisection's seed for PARAMS2, 2/(r - 1) in mu = m / scale units
+SEED2 = 2.0 / (PARAMS2.r - 1.0) * PARAMS2.scale
 
 
 @pytest.fixture(scope="module")
@@ -227,34 +229,43 @@ class TestCheckFeasible:
 
 class TestBisection:
     def test_golden_v101(self, golden_bisections):
-        # the sweep's boundaries at r = 3.2, v = 1.01, tolerance 1e-3, bit for bit
+        # the sweep's boundaries at r = 3.2, v = 1.01, tolerance 1e-3, bit for
+        # bit: the widening's first probe below the seed is feasible, the
+        # first above it infeasible, and one midpoint meets the tolerance
         two, three = golden_bisections[2], golden_bisections[3]
-        assert two.largest_feasible_m == 0.2895953116929235
-        assert three.largest_feasible_m == 0.09142123754717726
-        assert (two.iterations, three.iterations) == (13, 15)
+        assert two.largest_feasible_m == 0.2896562357954545
+        assert three.largest_feasible_m == 0.09142274942294033
+        assert (two.iterations, three.iterations) == (3, 3)
+        assert two.bracket == (0.2896562357954545, 0.2898011363636363)
+        assert three.bracket == (0.09142274942294033, 0.09146848366477271)
         assert {result.status for result in golden_bisections.values()} == {"ok"}
-        feasible, infeasible = "feasible", "infeasible"
-        assert [status for _, status in two.trace] == (
-            [feasible, "infeasible-analytic", infeasible, infeasible, feasible]
-            + [infeasible, feasible, infeasible] + [feasible] * 7
-        )
-        assert [status for _, status in three.trace] == (
-            [feasible, "infeasible-analytic"] + [infeasible] * 4 + [feasible] * 4
-            + [infeasible] * 3 + [feasible] * 4
-        )
+        pattern = ["feasible", "infeasible-analytic", "feasible", "infeasible", "infeasible"]
+        assert [status for _, status in two.trace] == pattern
+        assert [status for _, status in three.trace] == pattern
 
     def test_golden_v101_n4(self, golden_bisections):
         # the benchmark's largest row, bit for bit
         four = golden_bisections[4]
-        assert four.largest_feasible_m == 0.02884804989361597
-        assert four.iterations == 16
+        assert four.largest_feasible_m == 0.028855305286615538
+        assert four.iterations == 3
+        assert four.bracket == (0.028855305286615538, 0.028869740156693885)
         assert not four.conservative
-        feasible, infeasible = "feasible", "infeasible"
-        assert [status for _, status in four.trace] == (
-            [feasible, "infeasible-analytic"] + [infeasible] * 5
-            + [feasible, infeasible, feasible] + [infeasible] * 2
-            + [feasible] * 2 + [infeasible] * 2 + [feasible, infeasible]
-        )
+        assert [status for _, status in four.trace] == [
+            "feasible", "infeasible-analytic", "feasible", "infeasible", "infeasible"
+        ]
+
+    def test_widening_starts_at_the_seed(self, golden_bisections):
+        # the first probe after m = 0 is the seed c (1 - tolerance / 2),
+        # c = (2 / (r - 1)) v^n / r^(n-1), whichever n
+        for n, result in golden_bisections.items():
+            params = HardFamilyParams(n=n, r=3.2, v=1.01)
+            seed = 2.0 / (params.r - 1.0) * params.scale
+            assert result.trace[:3] == (
+                (0.0, "feasible"),
+                (params.theorem_m, "infeasible-analytic"),
+                (seed * (1.0 - 0.5e-3), "feasible"),
+            )
+            assert result.trace[3] == (seed * (1.0 + 0.5e-3), "infeasible")
 
     def test_boundary_meets_its_closed_form(self, golden_bisections):
         # analytic oracle (a conjecture from measurement, not a proof): the
@@ -267,8 +278,8 @@ class TestBisection:
             assert 1.0 < closed_form / result.largest_feasible_m <= 1.002
 
     def test_path_following_work(self, golden_runs):
-        # the n = 2 bisection's 14 probes report 82 path-following
-        # iterations in all
+        # the n = 2 bisection's 4 probes (m = 0 included) report 36
+        # path-following iterations in all
         _, iterations = golden_runs[2]
         assert iterations <= 120
 
@@ -359,6 +370,50 @@ class TestBisection:
         assert result.status == "unconverged"
         rows = run_lmi_sweep([2], r=3.2, v=1.01, tolerance=1e-300)
         assert lmi_sweep_csv_lines(rows)[1].split(",")[-1] == "unconverged"
+
+    @pytest.mark.parametrize(
+        "boundary, plain_probes",
+        [
+            # a synthetic boundary, and the probes a plain bisection of
+            # [0, theorem_m] makes for it at tolerance 1e-3 and 1e-300
+            (1e-6 * SEED2, (33, 75)),
+            (0.1, (15, 57)),
+            (0.5 * SEED2, (14, 56)),
+            (0.9 * PARAMS2.theorem_m, (11, 53)),
+        ],
+        ids=["near-zero", "one-tenth", "half-seed", "near-theorem-m"],
+    )
+    def test_wrong_seed_costs_few_probes(self, monkeypatch, boundary, plain_probes):
+        # a boundary far from the seed still ends bracketed, without a repeated
+        # probe, and at most 8 probes above plain bisection: the widening
+        # offsets reach 1 in O(log log(1 / tolerance)) probes
+        for tolerance, plain in zip((1e-3, 1e-300), plain_probes):
+            probed = []
+
+            def synthetic(problem, warm_start=None):
+                m = float(problem.b2[0, 0] - problem.b1[0, 0])
+                probed.append(m)
+                if m <= boundary:
+                    return SimpleNamespace(feasible=True, q=None, y=None, status="feasible")
+                return InfeasibleReport(best_margin=-1.0, status="infeasible")
+
+            monkeypatch.setattr(lmi, "check_feasible", synthetic)
+            result = bisect_largest_m(PARAMS2, tolerance=tolerance)
+            lo, hi = result.bracket
+            assert lo <= boundary < hi
+            assert len(probed) == len(set(probed))
+            assert result.iterations <= plain + 8
+            assert result.status == "ok"
+
+    def test_boundary_is_v_free_in_mu(self):
+        # ROADMAP item 8: the pair at m is congruent to the normalized pair at
+        # mu = m / scale, so the bisected mu* must not depend on v
+        for n in range(2, 7):
+            mus = [
+                bisect_largest_m(params).largest_feasible_m / params.scale
+                for params in (HardFamilyParams(n=n, r=3.2, v=v) for v in (1.01, 1.05, 1.09))
+            ]
+            assert max(mus) - min(mus) <= lmi.BISECTION_TOLERANCE * max(mus), (n, mus)
 
     def test_n3_below_sup_bound(self):
         params = HardFamilyParams(n=3, r=3.2, v=1.01)
