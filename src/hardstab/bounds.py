@@ -55,31 +55,9 @@ class KlReport:
 
 
 @dataclass(frozen=True)
-class BirgeSpec:
-    """Inputs of the sample-complexity lower bound."""
-
-    delta: float
-    params: HardFamilyParams
-    sigma_u2: float
-    sigma_w2: float
-
-    def __post_init__(self):
-        if not 0 < self.delta < 0.5:
-            raise ValueError(f"confidence level delta must lie in (0, 1/2), got {self.delta}")
-        if not (self.sigma_u2 > 0 and self.sigma_w2 > 0):
-            raise ValueError("sigma_u2 and sigma_w2 must be positive")
-
-
-@dataclass(frozen=True)
 class BirgeThreshold:
     exact: float
     relaxed: float
-
-
-@dataclass(frozen=True)
-class BirgeBound:
-    min_samples: float
-    theorem_m: float
 
 
 def kl_upper_bound(horizon: int, m: float, sigma_u2: float, sigma_w2: float) -> float:
@@ -259,15 +237,13 @@ def birge_kl_threshold(delta: float) -> BirgeThreshold:
     return BirgeThreshold(exact=exact, relaxed=relaxed)
 
 
-def birge_min_samples(spec: BirgeSpec) -> BirgeBound:
+def birge_min_samples(
+    params: HardFamilyParams, delta: float, sigma_u2: float, sigma_w2: float
+) -> float:
     """Minimum trajectory length (sigma_w^2 / (2 sigma_u^2)) ((r-1)/(2v))^(2n)
     log(1/(3 delta)) below which high-confidence stabilization is impossible."""
-    params = spec.params
+    relaxed = birge_kl_threshold(delta).relaxed
+    if not (0 < sigma_u2 < math.inf and 0 < sigma_w2 < math.inf):
+        raise ValueError("sigma_u2 and sigma_w2 must be positive and finite")
     ratio = (params.r - 1.0) / (2.0 * params.v)
-    min_samples = (
-        spec.sigma_w2
-        / (2.0 * spec.sigma_u2)
-        * ratio ** (2 * params.n)
-        * birge_kl_threshold(spec.delta).relaxed
-    )
-    return BirgeBound(min_samples=min_samples, theorem_m=params.theorem_m)
+    return sigma_w2 / (2.0 * sigma_u2) * ratio ** (2 * params.n) * relaxed

@@ -262,7 +262,7 @@ def _run(args: argparse.Namespace) -> None:
     elif args.command == "ackermann":
         sys_ = systems.LtiSystem(*systems.hard_matrices(args.n, args.r, args.v, args.b1))
         gain = synthesis.ackermann_gain(sys_, args.poles)
-        print(f"K = {gain.k}")
+        print(f"K = {gain}")
         report = synthesis.is_stabilizing(sys_, gain)
         print(f"closed-loop spectral radius = {report.spectral_radius:.12g}")
         if args.b1 == 0.0:
@@ -275,10 +275,10 @@ def _run(args: argparse.Namespace) -> None:
         print("pass" if report.passed else "fail")
 
     elif args.command == "costab-bound":
-        report = synthesis.costab_bound(_params(args), args.poles)
-        print(f"bound = {report.bound:.12g}")
-        print(f"sup_bound = {report.sup_bound:.12g}")
-        print(f"theorem_m = {report.theorem_m:.12g}")
+        params = _params(args)
+        print(f"bound = {synthesis.costab_bound(params, args.poles):.12g}")
+        print(f"sup_bound = {params.sup_bound:.12g}")
+        print(f"theorem_m = {params.theorem_m:.12g}")
 
     elif args.command == "kl-bound":
         value = bounds.kl_upper_bound(args.horizon, args.m, args.sigma_u2, args.sigma_w2)
@@ -297,15 +297,13 @@ def _run(args: argparse.Namespace) -> None:
             print(f"wrote {args.out}")
 
     elif args.command == "birge":
-        spec = bounds.BirgeSpec(
-            delta=args.delta, params=_params(args), sigma_u2=args.sigma_u2, sigma_w2=args.sigma_w2
-        )
+        params = _params(args)
         threshold = bounds.birge_kl_threshold(args.delta)
-        bound = bounds.birge_min_samples(spec)
+        min_samples = bounds.birge_min_samples(params, args.delta, args.sigma_u2, args.sigma_w2)
         print(f"exact KL threshold   = {threshold.exact:.12g} nats")
         print(f"relaxed KL threshold = {threshold.relaxed:.12g} nats")
-        print(f"minimum samples      = {bound.min_samples:.12g}")
-        print(f"theorem m            = {bound.theorem_m:.12g}")
+        print(f"minimum samples      = {min_samples:.12g}")
+        print(f"theorem m            = {params.theorem_m:.12g}")
 
     elif args.command == "lmi-bisect":
         params = _params(args)

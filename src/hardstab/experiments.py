@@ -24,7 +24,7 @@ import numpy as np
 
 from .lmi import BISECTION_TOLERANCE, bisect_largest_m
 from .numerics import Prng
-from .synthesis import FeedbackGain, ce_lqr_gain, is_stabilizing
+from .synthesis import ce_lqr_gain, is_stabilizing
 from .systems import CSV_FLOAT, HardFamilyParams, InputPolicy, hard_system, open_loop_batch
 
 
@@ -110,8 +110,7 @@ class _CeDecision:
         gains, failed = ce_lqr_gain(self.params, b1_hats)
         stable = np.zeros(failed.shape, dtype=bool)
         if not failed.all():
-            solved = FeedbackGain(k=gains.k[~failed])
-            stable[~failed] = is_stabilizing(self.true_system, solved).stable
+            stable[~failed] = is_stabilizing(self.true_system, gains[~failed]).stable
         return stable, failed
 
 

@@ -42,7 +42,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .numerics import spectral_radius
-from .synthesis import FeedbackGain
 from .systems import HardFamilyParams, HardPair, make_hard_pair
 
 _EPS = np.finfo(float).eps
@@ -112,7 +111,7 @@ class LmiCertificate:
 
     q: np.ndarray
     y: np.ndarray
-    recovered_k: FeedbackGain
+    recovered_k: np.ndarray  # the (n,) gain K = Y Q^-1
     recovered_p: np.ndarray
     margin: float  # smallest eigenvalue over the three Schur blocks
     p_min_eigenvalue: float
@@ -218,7 +217,7 @@ def _verify_certificate(
     return LmiCertificate(
         q=q,
         y=np.asarray(y, dtype=float).reshape(1, -1),
-        recovered_k=FeedbackGain(k=k_row.ravel()),
+        recovered_k=k_row.ravel(),
         recovered_p=p,
         margin=schur_margin,
         p_min_eigenvalue=p_min,

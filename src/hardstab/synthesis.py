@@ -74,19 +74,13 @@ def _warn_if_large(n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class FeedbackGain:
-    """Row gain K (u = K x); a 2-D k is a stack of row gains, one per row."""
-
-    k: np.ndarray
-
-    def __post_init__(self):
-        k = np.asarray(self.k, dtype=float)
-        object.__setattr__(self, "k", k if k.ndim == 2 else k.ravel())
-
-    @property
-    def n(self) -> int:
-        return self.k.shape[-1]
+def _gain_array(gain, n: int) -> np.ndarray:
+    """A row gain K (u = K x) as a float array, (n,) for one gain or (k, n)
+    for a stack of them, failing unless its last axis has length n."""
+    k = np.asarray(gain, dtype=float)
+    if k.ndim == 0 or k.shape[-1] != n:
+        raise ValueError(f"gain shape {k.shape} does not match dimension {n}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -106,16 +100,6 @@ class JuryReport:
     signed_at_minus_one: float
 
 
-@dataclass(frozen=True)
-class CostabBoundReport:
-    """Pole-specific perturbation ceiling with its supremum and the doubled
-    theorem value used to rule out co-stabilization outright."""
-
-    bound: float
-    sup_bound: float
-    theorem_m: float
-
-
 def closed_loop_matrix_polynomial(a: np.ndarray, poles: np.ndarray) -> np.ndarray:
     """prod_i (A - p_i I) for a conjugate-closed pole set, whose product is
     real up to rounding."""
@@ -126,7 +110,7 @@ def closed_loop_matrix_polynomial(a: np.ndarray, poles: np.ndarray) -> np.ndarra
     return result.real
 
 
-def ackermann_gain(sys: LtiSystem, poles: Sequence[complex]) -> FeedbackGain:
+def ackermann_gain(sys: LtiSystem, poles: Sequence[complex]) -> np.ndarray:
     """Unique state feedback placing the closed-loop poles, via
     K = -e_n' Ctr^-1 Delta_cl(A) with the inverse row obtained from a solve."""
     p = _validate_conjugate_closed(poles, sys.n)
@@ -140,8 +124,7 @@ def ackermann_gain(sys: LtiSystem, poles: Sequence[complex]) -> FeedbackGain:
     e_n = np.zeros(sys.n)
     e_n[-1] = 1.0
     last_row = np.linalg.solve(ctr.T, e_n)
-    k = -(last_row @ closed_loop_matrix_polynomial(sys.a, p))
-    return FeedbackGain(k=k)
+    return -(last_row @ closed_loop_matrix_polynomial(sys.a, p))
 
 
 def k1_closed_form(params: HardFamilyParams, poles: Sequence[complex]) -> float:
@@ -152,13 +135,11 @@ def k1_closed_form(params: HardFamilyParams, poles: Sequence[complex]) -> float:
     return -product.real / params.v**params.n
 
 
-def closed_loop_charpoly(params: HardFamilyParams, gain: FeedbackGain) -> np.ndarray:
+def closed_loop_charpoly(params: HardFamilyParams, gain: np.ndarray) -> np.ndarray:
     """Ascending coefficients of det(zI - A - B1 K) for the b1 = 0 family."""
     n = params.n
-    if gain.n != n:
-        raise ValueError(f"gain length {gain.n} does not match dimension {n}")
+    k = _gain_array(gain, n)
     r, v = params.r, params.v
-    k = gain.k
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
     coeffs[n - 1] = -(r + v * k[n - 1])
@@ -193,22 +174,18 @@ def jury_necessary(p: np.ndarray) -> JuryReport:
     )
 
 
-def costab_bound(params: HardFamilyParams, poles: Sequence[complex]) -> CostabBoundReport:
+def costab_bound(params: HardFamilyParams, poles: Sequence[complex]) -> float:
     """Perturbation ceiling v^n prod (1 + p_i)/(r - p_i) for the given stable
-    closed-loop poles, with its supremum (2v/(r-1))^n over all stable sets."""
+    closed-loop poles; its supremum over all stable sets is params.sup_bound."""
     p = _stable_poles(poles, params.n)
-    bound = complex(np.prod((1 + p) / (params.r - p))) * params.v**params.n
-    return CostabBoundReport(
-        bound=bound.real, sup_bound=params.sup_bound, theorem_m=params.theorem_m
-    )
+    return (complex(np.prod((1 + p) / (params.r - p))) * params.v**params.n).real
 
 
-def is_stabilizing(sys: LtiSystem, gain: FeedbackGain) -> StabilityReport:
-    """Strict spectral-radius test of A + B K; for a stack of gains, one test
-    per gain, from one eigenvalue call, reported as arrays."""
-    if gain.n != sys.n:
-        raise ValueError(f"gain length {gain.n} does not match dimension {sys.n}")
-    rho = spectral_radius(sys.a + sys.b @ gain.k[..., np.newaxis, :])
+def is_stabilizing(sys: LtiSystem, gain: np.ndarray) -> StabilityReport:
+    """Strict spectral-radius test of A + B K; for a (k, n) stack of gains,
+    one test per gain, from one eigenvalue call, reported as arrays."""
+    k = _gain_array(gain, sys.n)
+    rho = spectral_radius(sys.a + sys.b @ k[..., np.newaxis, :])
     return StabilityReport(stable=rho < 1.0, spectral_radius=rho)
 
 
@@ -219,20 +196,20 @@ def ce_lqr_gain(params: HardFamilyParams, b1_hat):
     matrix norm grows like (r/v)^(2n); see solve_dare.  Synthesis succeeding
     says nothing about stability on the true system.
 
-    A float estimate gives its FeedbackGain and raises DareError when the
-    solve fails.  A 1-D array of estimates is solved as one stack and gives
-    (gains, failed): one gain row per estimate, NaN where its solve failed,
-    and the mask of those rows.
+    A float estimate gives its (n,) gain and raises DareError when the solve
+    fails.  A 1-D array of estimates is solved as one stack and gives
+    (gains, failed): a (k, n) array with one gain row per estimate, NaN
+    where its solve failed, and the mask of those rows.
     """
     a, b = hard_matrices(params.n, params.r, params.v, b1_hat)
     _warn_if_large(params.n)
     solution = solve_dare(a, b, np.eye(params.n), np.array([[1.0]]), rel_tolerance=1e-8)
     if b.ndim == 2:
-        return FeedbackGain(k=solution.gain.ravel())
-    return FeedbackGain(k=solution.gain[:, 0]), solution.failed
+        return solution.gain.ravel()
+    return solution.gain[:, 0], solution.failed
 
 
-def recovered_poles(params: HardFamilyParams, gain: FeedbackGain) -> np.ndarray:
+def recovered_poles(params: HardFamilyParams, gain: np.ndarray) -> np.ndarray:
     """Closed-loop poles of the b1 = 0 loop recovered from the characteristic
     polynomial; carries root-finding error for externally supplied gains."""
     return poly_roots(closed_loop_charpoly(params, gain))

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from hardstab.bounds import BirgeSpec, birge_kl_threshold, birge_min_samples, kl_upper_bound
+from hardstab.bounds import birge_kl_threshold, birge_min_samples, kl_upper_bound
 from hardstab.bounds import kl_monte_carlo
 from hardstab.experiments import CeLqrConfig, run_ce_lqr, run_lmi_sweep
 from hardstab.lmi import build_costab_lmi, check_feasible
@@ -81,7 +81,7 @@ def test_criterion_01_first_gain_element_closed_form():
         poles = random_stable_conjugate_poles(rng, params.n)
         closed_form = k1_closed_form(params, poles)
         gain = ackermann_gain(make_hard_pair(params, 0.0).s1, poles)
-        worst = max(worst, abs(closed_form - gain.k[0]) / abs(closed_form))
+        worst = max(worst, abs(closed_form - gain[0]) / abs(closed_form))
     elapsed = time.perf_counter() - start
     criterion(
         1,
@@ -100,7 +100,7 @@ def test_criterion_02_pole_placement_accuracy():
         poles = random_stable_conjugate_poles(rng, params.n)
         sys1 = make_hard_pair(params, 0.0).s1
         gain = ackermann_gain(sys1, poles)
-        achieved = np.linalg.eigvals(sys1.a + sys1.b @ gain.k.reshape(1, -1))
+        achieved = np.linalg.eigvals(sys1.a + sys1.b @ gain.reshape(1, -1))
         err = np.max(np.abs(np.sort_complex(achieved) - np.sort_complex(poles)))
         worst = max(worst, err)
     elapsed = time.perf_counter() - start
@@ -124,7 +124,7 @@ def test_criterion_03_perturbation_ceiling_contrapositive():
         gain = ackermann_gain(sys1, poles)
         if not is_stabilizing(sys1, gain).stable:
             continue
-        bound = costab_bound(params, poles).bound
+        bound = costab_bound(params, poles)
         m = bound * rng.uniform(1.000001, 100.0)
         sibling = make_hard_pair(params, m).s2
         if is_stabilizing(sibling, gain).spectral_radius < 1.0:
@@ -145,9 +145,9 @@ def test_criterion_04_worked_two_dimensional_example():
     gain = ackermann_gain(pair.s1, [0.0, 0.0])
     k1 = k1_closed_form(params, [0.0, 0.0])
     base = closed_loop_charpoly(params, gain)
-    at_p1 = perturbed_charpoly(base, 0.1, gain.k[0])
-    at_p09 = perturbed_charpoly(base, 0.09, gain.k[0])
-    bound = costab_bound(params, [0.0, 0.0]).bound
+    at_p1 = perturbed_charpoly(base, 0.1, gain[0])
+    at_p09 = perturbed_charpoly(base, 0.09, gain[0])
+    bound = costab_bound(params, [0.0, 0.0])
     checks = {
         "k1": abs(k1 - (-10.0382)) <= 1e-3,
         "shifted coeff at m=0.1": abs(at_p1[1] - 1.00382) <= 1e-4,
@@ -192,22 +192,19 @@ def test_criterion_06_birge_arithmetic():
     worst = 0.0
     for _ in range(100):
         params = random_params(rng, 10)
-        spec = BirgeSpec(
-            delta=float(rng.uniform(0.01, 0.49)),
-            params=params,
-            sigma_u2=float(rng.uniform(0.5, 64.0)),
-            sigma_w2=float(rng.uniform(1e-4, 1.0)),
-        )
-        bound = birge_min_samples(spec)
+        delta = float(rng.uniform(0.01, 0.49))
+        sigma_u2 = float(rng.uniform(0.5, 64.0))
+        sigma_w2 = float(rng.uniform(1e-4, 1.0))
+        min_samples = birge_min_samples(params, delta, sigma_u2, sigma_w2)
         # independent re-implementation through logarithms
         log_value = (
-            math.log(spec.sigma_w2)
-            - math.log(2 * spec.sigma_u2)
+            math.log(sigma_w2)
+            - math.log(2 * sigma_u2)
             + 2 * params.n * (math.log(params.r - 1) - math.log(2 * params.v))
         )
-        reference = math.exp(log_value) * math.log(1 / (3 * spec.delta))
+        reference = math.exp(log_value) * math.log(1 / (3 * delta))
         if reference != 0:
-            worst = max(worst, abs(bound.min_samples - reference) / abs(reference))
+            worst = max(worst, abs(min_samples - reference) / abs(reference))
     criterion(
         6,
         exact_ok and relaxed_ok and worst <= 1e-12,

@@ -8,7 +8,6 @@ import pytest
 
 from hardstab import bounds, systems
 from hardstab.bounds import (
-    BirgeSpec,
     DegenerateNoiseError,
     birge_kl_threshold,
     birge_min_samples,
@@ -312,64 +311,47 @@ class TestBirgeThreshold:
 
 class TestBirgeMinSamples:
     def test_zero_at_one_third(self):
-        spec = BirgeSpec(delta=1 / 3, params=PARAMS2, sigma_u2=32.0, sigma_w2=0.005)
-        assert birge_min_samples(spec).min_samples == pytest.approx(0.0, abs=1e-15)
+        assert birge_min_samples(PARAMS2, 1 / 3, 32.0, 0.005) == pytest.approx(0.0, abs=1e-15)
 
     def test_reference_value(self):
-        spec = BirgeSpec(delta=0.1, params=PARAMS2, sigma_u2=32.0, sigma_w2=0.005)
-        bound = birge_min_samples(spec)
+        min_samples = birge_min_samples(PARAMS2, 0.1, 32.0, 0.005)
         expected = 0.005 / 64.0 * (2.2 / 2.02) ** 4 * math.log(10 / 3)
-        assert bound.min_samples == pytest.approx(expected, rel=1e-12)
-        assert bound.min_samples == pytest.approx(1.323e-4, rel=1e-3)
-        assert bound.theorem_m == pytest.approx(2 * (2.02 / 2.2) ** 2, rel=1e-12)
+        assert min_samples == pytest.approx(expected, rel=1e-12)
+        assert min_samples == pytest.approx(1.323e-4, rel=1e-3)
+        assert PARAMS2.theorem_m == pytest.approx(2 * (2.02 / 2.2) ** 2, rel=1e-12)
 
     def test_dimension_ratio(self):
         for n in range(2, 8):
-            lo = BirgeSpec(
-                delta=0.1,
-                params=HardFamilyParams(n=n, r=3.2, v=1.01),
-                sigma_u2=32.0,
-                sigma_w2=0.005,
-            )
-            hi = BirgeSpec(
-                delta=0.1,
-                params=HardFamilyParams(n=n + 1, r=3.2, v=1.01),
-                sigma_u2=32.0,
-                sigma_w2=0.005,
-            )
-            ratio = birge_min_samples(hi).min_samples / birge_min_samples(lo).min_samples
-            assert ratio == pytest.approx((2.2 / 2.02) ** 2, rel=1e-9)
+            lo = birge_min_samples(HardFamilyParams(n=n, r=3.2, v=1.01), 0.1, 32.0, 0.005)
+            hi = birge_min_samples(HardFamilyParams(n=n + 1, r=3.2, v=1.01), 0.1, 32.0, 0.005)
+            assert hi / lo == pytest.approx((2.2 / 2.02) ** 2, rel=1e-9)
 
     def test_monotone_in_n_and_delta(self):
         values = [
-            birge_min_samples(
-                BirgeSpec(
-                    delta=0.1,
-                    params=HardFamilyParams(n=n, r=3.2, v=1.01),
-                    sigma_u2=32.0,
-                    sigma_w2=0.005,
-                )
-            ).min_samples
+            birge_min_samples(HardFamilyParams(n=n, r=3.2, v=1.01), 0.1, 32.0, 0.005)
             for n in range(2, 9)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
         deltas = [0.05, 0.1, 0.2, 0.3]
-        by_delta = [
-            birge_min_samples(
-                BirgeSpec(delta=d, params=PARAMS2, sigma_u2=32.0, sigma_w2=0.005)
-            ).min_samples
-            for d in deltas
-        ]
+        by_delta = [birge_min_samples(PARAMS2, d, 32.0, 0.005) for d in deltas]
         assert all(b < a for a, b in zip(by_delta, by_delta[1:]))
 
     def test_delta_domain(self):
-        with pytest.raises(ValueError):
-            BirgeSpec(delta=0.6, params=PARAMS2, sigma_u2=32.0, sigma_w2=0.005)
+        with pytest.raises(ValueError, match="delta must lie in"):
+            birge_min_samples(PARAMS2, 0.6, 32.0, 0.005)
 
     @pytest.mark.parametrize(
         "sigma_u2, sigma_w2",
-        [(0.0, 0.005), (32.0, -1.0), (float("nan"), 0.005), (32.0, float("nan"))],
+        [
+            (0.0, 0.005),
+            (32.0, -1.0),
+            (float("nan"), 0.005),
+            (32.0, float("nan")),
+            # an infinite variance would otherwise give a bound of 0 or inf
+            (float("inf"), 0.005),
+            (32.0, float("inf")),
+        ],
     )
     def test_variance_domain(self, sigma_u2, sigma_w2):
-        with pytest.raises(ValueError, match="must be positive"):
-            BirgeSpec(delta=0.1, params=PARAMS2, sigma_u2=sigma_u2, sigma_w2=sigma_w2)
+        with pytest.raises(ValueError, match="sigma_u2 and sigma_w2 must be positive and finite"):
+            birge_min_samples(PARAMS2, 0.1, sigma_u2, sigma_w2)

@@ -225,6 +225,16 @@ class TestUsageErrors:
                 ["kl-bound", "--horizon", "10", "--m", "0.1", "--sigma-u2", "inf"],
                 "sigma_u2 must be nonnegative and finite",
             ),
+            # an infinite variance would otherwise print a bound of 0 or inf
+            (
+                ["birge", "--n", "2", "--sigma-u2", "inf"],
+                "sigma_u2 and sigma_w2 must be positive and finite",
+            ),
+            (
+                ["birge", "--n", "2", "--sigma-w2", "inf"],
+                "sigma_u2 and sigma_w2 must be positive and finite",
+            ),
+            (["birge", "--n", "2", "--delta", "0.6"], "delta must lie in (0, 1/2), got 0.6"),
         ],
     )
     def test_rejected_value_exits_with_usage_message(self, capsys, argv, message):

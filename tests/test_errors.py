@@ -31,7 +31,9 @@ ATTRIBUTES = ("step", "seed_record", "coeffs", "iterations", "residual")
 
 @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
 def test_exception_survives_pickling(cls):
-    # a process pool sends a worker's exception back pickled
+    # a caller that runs the library in a process pool gets a worker's
+    # exception back pickled (kl_monte_carlo's own forked workers report
+    # only an exit status, so it does not rely on this)
     error = cls(*ARGS.get(cls, ("message",)))
     copy = pickle.loads(pickle.dumps(error))
     assert type(copy) is cls

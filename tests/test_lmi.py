@@ -49,7 +49,7 @@ def coarse_n2_bisection():
 def assert_certificate_sound(problem, cert, tolerance):
     """Direct substitution of the recovered pair into the strict conditions."""
     p = cert.recovered_p
-    k = cert.recovered_k.k.reshape(1, -1)
+    k = cert.recovered_k.reshape(1, -1)
     assert np.linalg.eigvalsh(p)[0] >= tolerance / 2
     for b in (problem.b1, problem.b2):
         closed = problem.a + b @ k
@@ -276,6 +276,19 @@ class TestBisection:
         for n, result in golden_bisections.items():
             closed_form = 2 * v**n / (r ** (n - 1) * (r - 1))
             assert 1.0 < closed_form / result.largest_feasible_m <= 1.002
+
+    def test_recovered_gain_is_the_certified_gain(self, golden_bisections):
+        # recovered_k is the (n,) float gain whose closed loops gave the
+        # certificate's spectral radii, bit for bit
+        for n, result in golden_bisections.items():
+            cert = result.certificate
+            assert cert.recovered_k.dtype == np.float64 and cert.recovered_k.shape == (n,)
+            params = HardFamilyParams(n=n, r=3.2, v=1.01)
+            pair = make_hard_pair(params, result.largest_feasible_m)
+            radii = tuple(
+                is_stabilizing(s, cert.recovered_k).spectral_radius for s in (pair.s1, pair.s2)
+            )
+            assert radii == cert.spectral_radii
 
     def test_path_following_work(self, golden_runs):
         # the n = 2 bisection's 4 probes (m = 0 included) report 36

@@ -3,7 +3,6 @@ import pytest
 
 from hardstab.numerics import DareError, poly_roots, solve_dare, spectral_radius
 from hardstab.synthesis import (
-    FeedbackGain,
     PoleSetError,
     ackermann_gain,
     ce_lqr_gain,
@@ -52,7 +51,7 @@ class TestAckermann:
     def test_deadbeat_n2(self):
         pair = make_hard_pair(PARAMS2, 0.0)
         gain = ackermann_gain(pair.s1, [0.0, 0.0])
-        np.testing.assert_allclose(gain.k, [-10.0382, -3.1683], atol=1e-4)
+        np.testing.assert_allclose(gain, [-10.0382, -3.1683], atol=1e-4)
         assert is_stabilizing(pair.s1, gain).spectral_radius < 1e-6
 
     def test_open_loop_poles_give_zero_gain(self):
@@ -61,7 +60,7 @@ class TestAckermann:
         pair = make_hard_pair(HardFamilyParams(n=3, r=3.2, v=1.01), 0.0)
         poles = np.linalg.eigvals(pair.s1.a)
         gain = ackermann_gain(pair.s1, poles)
-        np.testing.assert_allclose(gain.k, 0.0, atol=1e-10)
+        np.testing.assert_allclose(gain, 0.0, atol=1e-10)
 
     def test_places_requested_poles(self):
         rng = np.random.default_rng(17)
@@ -72,7 +71,7 @@ class TestAckermann:
             pair = make_hard_pair(params, 0.0)
             poles = random_stable_conjugate_poles(rng, n)
             gain = ackermann_gain(pair.s1, poles)
-            achieved = np.linalg.eigvals(pair.s1.a + pair.s1.b @ gain.k.reshape(1, -1))
+            achieved = np.linalg.eigvals(pair.s1.a + pair.s1.b @ gain.reshape(1, -1))
             np.testing.assert_allclose(
                 np.sort_complex(achieved), np.sort_complex(poles), atol=1e-6
             )
@@ -112,7 +111,7 @@ class TestK1ClosedForm:
             poles = random_stable_conjugate_poles(rng, n)
             k1 = k1_closed_form(params, poles)
             gain = ackermann_gain(make_hard_pair(params, 0.0).s1, poles)
-            assert gain.k[0] == pytest.approx(k1, rel=1e-8)
+            assert gain[0] == pytest.approx(k1, rel=1e-8)
 
     def test_rejects_unstable_poles(self):
         with pytest.raises(PoleSetError):
@@ -130,7 +129,7 @@ class TestClosedLoopCharpoly:
     def test_zero_gain_is_open_loop(self):
         for n in (2, 4, 6):
             params = HardFamilyParams(n=n, r=3.2, v=1.01)
-            coeffs = closed_loop_charpoly(params, FeedbackGain(k=np.zeros(n)))
+            coeffs = closed_loop_charpoly(params, np.zeros(n))
             expected = np.zeros(n + 1)
             expected[n] = 1.0
             expected[n - 1] = -params.r
@@ -141,10 +140,10 @@ class TestClosedLoopCharpoly:
         for _ in range(30):
             n = int(rng.integers(2, 9))
             params = HardFamilyParams(n=n, r=3.2, v=1.01)
-            gain = FeedbackGain(k=rng.normal(scale=2.0, size=n))
+            gain = rng.normal(scale=2.0, size=n)
             coeffs = closed_loop_charpoly(params, gain)
             a, b = hard_matrices(n, params.r, params.v, 0.0)
-            closed = a + b @ gain.k.reshape(1, -1)
+            closed = a + b @ gain.reshape(1, -1)
             oracle, sample_scale = charpoly_by_interpolation(closed)
             np.testing.assert_allclose(
                 coeffs, oracle, rtol=1e-8, atol=1e-9 * max(1.0, sample_scale)
@@ -159,7 +158,7 @@ class TestPerturbedCharpoly:
     def test_worked_example_unstable_at_m_0p1(self):
         gain = ackermann_gain(make_hard_pair(PARAMS2, 0.0).s1, [0.0, 0.0])
         base = closed_loop_charpoly(PARAMS2, gain)
-        shifted = perturbed_charpoly(base, 0.1, gain.k[0])
+        shifted = perturbed_charpoly(base, 0.1, gain[0])
         assert shifted[1] == pytest.approx(1.00382, abs=1e-4)
         roots = poly_roots(shifted)
         assert np.max(np.abs(roots)) == pytest.approx(1.00382, abs=1e-4)
@@ -167,7 +166,7 @@ class TestPerturbedCharpoly:
     def test_worked_example_stable_at_m_0p09(self):
         gain = ackermann_gain(make_hard_pair(PARAMS2, 0.0).s1, [0.0, 0.0])
         base = closed_loop_charpoly(PARAMS2, gain)
-        shifted = perturbed_charpoly(base, 0.09, gain.k[0])
+        shifted = perturbed_charpoly(base, 0.09, gain[0])
         assert shifted[1] == pytest.approx(0.90344, abs=1e-4)
         assert np.max(np.abs(poly_roots(shifted))) < 1.0
 
@@ -179,9 +178,9 @@ class TestPerturbedCharpoly:
             poles = random_stable_conjugate_poles(rng, n)
             gain = ackermann_gain(make_hard_pair(params, 0.0).s1, poles)
             m = rng.uniform(0.0, 0.3)
-            shifted = perturbed_charpoly(closed_loop_charpoly(params, gain), m, gain.k[0])
+            shifted = perturbed_charpoly(closed_loop_charpoly(params, gain), m, gain[0])
             a, b2 = hard_matrices(n, params.r, params.v, m)
-            closed = a + b2 @ gain.k.reshape(1, -1)
+            closed = a + b2 @ gain.reshape(1, -1)
             oracle, sample_scale = charpoly_by_interpolation(closed)
             np.testing.assert_allclose(
                 shifted, oracle, rtol=1e-8, atol=1e-9 * max(1.0, sample_scale)
@@ -240,27 +239,27 @@ class TestJury:
 
 class TestCostabBound:
     def test_hand_values(self):
-        report = costab_bound(PARAMS2, [0.0, 0.0])
-        assert report.bound == pytest.approx((1.01 / 3.2) ** 2, rel=1e-12)
-        assert report.bound == pytest.approx(0.09961, abs=1e-4)
-        assert report.sup_bound == pytest.approx((2.02 / 2.2) ** 2, rel=1e-12)
-        assert report.sup_bound == pytest.approx(0.84307, abs=1e-4)
-        assert report.theorem_m == pytest.approx(1.68613, abs=1e-4)
+        bound = costab_bound(PARAMS2, [0.0, 0.0])
+        assert bound == pytest.approx((1.01 / 3.2) ** 2, rel=1e-12)
+        assert bound == pytest.approx(0.09961, abs=1e-4)
+        assert PARAMS2.sup_bound == pytest.approx((2.02 / 2.2) ** 2, rel=1e-12)
+        assert PARAMS2.sup_bound == pytest.approx(0.84307, abs=1e-4)
+        assert PARAMS2.theorem_m == pytest.approx(1.68613, abs=1e-4)
 
     def test_monotone_toward_sup(self):
-        report = costab_bound(PARAMS2, [0.999, 0.999])
+        bound = costab_bound(PARAMS2, [0.999, 0.999])
         scaling = (1.999 / 2) ** 2 * ((3.2 - 1) / (3.2 - 0.999)) ** 2
-        assert report.bound == pytest.approx(report.sup_bound * scaling, rel=0.01)
+        assert bound == pytest.approx(PARAMS2.sup_bound * scaling, rel=0.01)
         lower = costab_bound(PARAMS2, [0.9, 0.9])
-        assert lower.bound < report.bound < report.sup_bound
+        assert lower < bound < PARAMS2.sup_bound
 
     def test_ordering_invariant(self):
         rng = np.random.default_rng(47)
         for _ in range(30):
             n = int(rng.integers(2, 8))
             params = HardFamilyParams(n=n, r=3.2, v=1.01)
-            report = costab_bound(params, random_stable_conjugate_poles(rng, n))
-            assert 0 < report.bound < report.sup_bound < report.theorem_m
+            bound = costab_bound(params, random_stable_conjugate_poles(rng, n))
+            assert 0 < bound < params.sup_bound < params.theorem_m
 
     def test_rejects_unstable(self):
         with pytest.raises(PoleSetError):
@@ -275,7 +274,7 @@ class TestIsStabilizing:
 
     def test_open_loop_unstable(self):
         pair = make_hard_pair(PARAMS2, 0.0)
-        report = is_stabilizing(pair.s1, FeedbackGain(k=np.zeros(2)))
+        report = is_stabilizing(pair.s1, np.zeros(2))
         assert not report.stable
         assert report.spectral_radius == pytest.approx(3.2)
 
@@ -285,6 +284,31 @@ class TestIsStabilizing:
         report = is_stabilizing(pair.s2, gain)
         assert not report.stable
         assert report.spectral_radius == pytest.approx(1.00382, abs=1e-4)
+
+
+class TestGainShape:
+    @pytest.mark.parametrize(
+        "gain", [np.zeros(1), np.zeros(3), np.float64(0.5)], ids=["n-1", "n+1", "0-d"]
+    )
+    def test_wrong_length_rejected(self, gain):
+        sys1 = make_hard_pair(PARAMS2, 0.0).s1
+        with pytest.raises(ValueError, match="does not match dimension 2"):
+            is_stabilizing(sys1, gain)
+        with pytest.raises(ValueError, match="does not match dimension 2"):
+            closed_loop_charpoly(PARAMS2, gain)
+        with pytest.raises(ValueError, match="does not match dimension 2"):
+            recovered_poles(PARAMS2, gain)
+
+    def test_stack_gives_one_verdict_per_row(self):
+        pair = make_hard_pair(PARAMS2, 0.0)
+        stack = np.array(
+            [ackermann_gain(pair.s1, [0.0, 0.0]), np.zeros(2), ackermann_gain(pair.s1, [0.3, -0.2])]
+        )
+        report = is_stabilizing(pair.s1, stack)
+        assert report.stable.tolist() == [True, False, True]
+        for row, stable, rho in zip(stack, report.stable, report.spectral_radius):
+            single = is_stabilizing(pair.s1, row)
+            assert (single.stable, single.spectral_radius) == (stable, rho)
 
 
 class TestCeLqrGain:
@@ -298,7 +322,7 @@ class TestCeLqrGain:
     def test_far_estimate_synthesis_still_succeeds(self):
         gain = ce_lqr_gain(PARAMS2, 10.0)
         truth = make_hard_pair(PARAMS2, 0.0).s1
-        assert gain.k.shape == (2,)
+        assert gain.shape == (2,)
         assert not is_stabilizing(truth, gain).stable
 
     def test_tiny_estimate_error_still_stabilizes(self):
@@ -322,10 +346,10 @@ class TestStackedCeLqr:
             a, b = hard_matrices(n, 3.2, 1.01, estimates)
             stack = solve_dare(a, b, np.eye(n), [[1.0]], rel_tolerance=1e-8)
             np.testing.assert_array_equal(stack.failed, failed)
-            assert gains.k.tobytes() == stack.gain[:, 0].tobytes()
-            closed = truth.a + truth.b @ gains.k[~failed][:, np.newaxis, :]
+            assert gains.tobytes() == stack.gain[:, 0].tobytes()
+            closed = truth.a + truth.b @ gains[~failed][:, np.newaxis, :]
             assert spectral_radius(closed).tolist() == [spectral_radius(m) for m in closed]
-            stable = is_stabilizing(truth, FeedbackGain(k=gains.k[~failed])).stable
+            stable = is_stabilizing(truth, gains[~failed]).stable
 
             single_failed, single_stable = [], []
             for i, b1_hat in enumerate(estimates):
@@ -356,7 +380,7 @@ class TestCeLqrRiccatiOracle:
             a, b = hard_matrices(n, 3.2, 1.01, b1_hat)
             p = solve_discrete_are(a, b, np.eye(n), np.eye(1))
             oracle = -np.linalg.solve(np.eye(1) + b.T @ p @ b, b.T @ p @ a).ravel()
-            np.testing.assert_allclose(ce_lqr_gain(params, b1_hat).k, oracle, rtol=1e-6)
+            np.testing.assert_allclose(ce_lqr_gain(params, b1_hat), oracle, rtol=1e-6)
 
 
 class TestConditioningWarning:
@@ -398,7 +422,7 @@ class TestProp2Contrapositive:
             gain = ackermann_gain(make_hard_pair(params, 0.0).s1, poles)
             if not is_stabilizing(make_hard_pair(params, 0.0).s1, gain).stable:
                 continue
-            bound = costab_bound(params, poles).bound
+            bound = costab_bound(params, poles)
             m = bound * rng.uniform(1.000001, 50.0)
             pair = make_hard_pair(params, m)
             assert is_stabilizing(pair.s2, gain).spectral_radius >= 1.0
