@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import Prng
-from .systems import CSV_FLOAT, HardFamilyParams, HardPair, InputPolicy, open_loop_batch, simulate
+from .systems import HardFamilyParams, HardPair, InputPolicy, csv_line, open_loop_batch, simulate
 
 
 class DegenerateNoiseError(ValueError):
@@ -40,18 +40,10 @@ class KlReport:
     CSV_HEADER = "horizon,m,sigma_u2,sigma_w2,analytic,mc,mc_se,trials,seed"
 
     def csv_row(self) -> str:
-        fields = [
-            str(self.horizon),
-            CSV_FLOAT % self.m,
-            CSV_FLOAT % self.sigma_u2,
-            CSV_FLOAT % self.sigma_w2,
-            CSV_FLOAT % self.analytic_bound,
-            CSV_FLOAT % self.mc_estimate,
-            CSV_FLOAT % self.mc_std_error,
-            str(self.trials),
-            str(self.seed),
-        ]
-        return ",".join(fields)
+        return csv_line([
+            self.horizon, self.m, self.sigma_u2, self.sigma_w2, self.analytic_bound,
+            self.mc_estimate, self.mc_std_error, self.trials, self.seed,
+        ])
 
 
 @dataclass(frozen=True)

@@ -227,12 +227,16 @@ def _params(args: argparse.Namespace) -> systems.HardFamilyParams:
     return systems.HardFamilyParams(n=args.n, r=args.r, v=args.v)
 
 
+def _write(path, lines: list[str]) -> None:
+    experiments.write_csv_lines(path, lines)
+    print(f"wrote {path}")
+
+
 def _emit(lines: list[str], out) -> None:
     """Print a CSV table and, given a path, write it there as well."""
     print(*lines, sep="\n")
     if out:
-        experiments.write_csv_lines(out, lines)
-        print(f"wrote {out}")
+        _write(out, lines)
 
 
 def _run(args: argparse.Namespace) -> None:
@@ -256,8 +260,7 @@ def _run(args: argparse.Namespace) -> None:
         traj = systems.simulate(sys_, policy, args.horizon, Prng(args.seed, args.stream))
         print(f"simulated {traj.horizon} steps; final state {traj.states[-1]}")
         if args.out:
-            systems.write_trajectory_csv(traj, args.out)
-            print(f"wrote {args.out}")
+            _write(args.out, systems.trajectory_csv_lines(traj))
 
     elif args.command == "ackermann":
         sys_ = systems.LtiSystem(*systems.hard_matrices(args.n, args.r, args.v, args.b1))
@@ -293,8 +296,7 @@ def _run(args: argparse.Namespace) -> None:
         print(f"analytic bound = {report.analytic_bound:.12g} nats")
         print(f"mc estimate    = {report.mc_estimate:.12g} +- {report.mc_std_error:.3g} nats")
         if args.out:
-            experiments.write_csv_lines(args.out, [report.CSV_HEADER, report.csv_row()])
-            print(f"wrote {args.out}")
+            _write(args.out, [report.CSV_HEADER, report.csv_row()])
 
     elif args.command == "birge":
         params = _params(args)

@@ -25,7 +25,7 @@ import numpy as np
 from .lmi import BISECTION_TOLERANCE, bisect_largest_m
 from .numerics import Prng
 from .synthesis import ce_lqr_gain, is_stabilizing
-from .systems import CSV_FLOAT, HardFamilyParams, InputPolicy, hard_system, open_loop_batch
+from .systems import HardFamilyParams, InputPolicy, csv_line, hard_system, open_loop_batch
 
 
 @dataclass(frozen=True)
@@ -82,16 +82,10 @@ class CeLqrResult:
     def csv_lines(self, include_wall_time: bool = True) -> list[str]:
         lines = [self.CSV_HEADER if include_wall_time else self.CSV_HEADER.rsplit(",", 1)[0]]
         for row in self.rows:
-            fields = [
-                str(row.n),
-                "" if row.min_n is None else str(row.min_n),
-                CSV_FLOAT % row.rate_at_min_n,
-                str(row.synthesis_failures),
-                row.status,
-            ]
+            fields = [row.n, row.min_n, row.rate_at_min_n, row.synthesis_failures, row.status]
             if include_wall_time:
                 fields.append("%.3f" % row.wall_time_s)
-            lines.append(",".join(fields))
+            lines.append(csv_line(fields))
         return lines
 
 
@@ -386,19 +380,6 @@ class LmiSweepRow:
     iterations: int
     status: str
 
-    def csv_fields(self) -> list[str]:
-        log10_m = np.log10(self.largest_m) if self.largest_m > 0 else float("-inf")
-        return [
-            str(self.n),
-            CSV_FLOAT % self.r,
-            CSV_FLOAT % self.v,
-            CSV_FLOAT % self.largest_m,
-            CSV_FLOAT % log10_m,
-            CSV_FLOAT % self.sup_bound,
-            str(self.iterations),
-            self.status,
-        ]
-
 
 def run_lmi_sweep(
     n_values: Sequence[int], r: float, v: float, tolerance: float = BISECTION_TOLERANCE
@@ -422,7 +403,13 @@ def run_lmi_sweep(
 
 
 def lmi_sweep_csv_lines(rows: Sequence[LmiSweepRow]) -> list[str]:
-    return [LMI_SWEEP_HEADER] + [",".join(row.csv_fields()) for row in rows]
+    lines = [LMI_SWEEP_HEADER]
+    for row in rows:
+        log10_m = np.log10(row.largest_m) if row.largest_m > 0 else float("-inf")
+        lines.append(csv_line([
+            row.n, row.r, row.v, row.largest_m, log10_m, row.sup_bound, row.iterations, row.status
+        ]))
+    return lines
 
 
 def write_csv_lines(path, lines: Sequence[str]) -> None:

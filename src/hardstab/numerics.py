@@ -213,16 +213,6 @@ _DARE_TOLERANCE = 1e-9
 
 
 @dataclass
-class DareSolution:
-    """Stabilizing Riccati fixed point with the optimal feedback row."""
-
-    p: np.ndarray
-    gain: np.ndarray  # 1 x n row; u = gain @ x, closed loop a + b @ gain
-    residual: float
-    iterations: int
-
-
-@dataclass
 class DareStack:
     """solve_dare on a stack of k input matrices, element by element.  A
     failed element's p and gain are NaN, and its error says which exit it
@@ -277,11 +267,12 @@ def solve_dare(
     q,
     r,
     rel_tolerance: float = 0.0,
-) -> DareSolution | DareStack:
+) -> DareStack:
     """Fixed-point iteration P <- A'PA - A'PB(R + B'PB)^-1 B'PA + Q from P0 = Q.
 
-    b is one n x m input matrix, or a stack of k of them shaped (k, n, m)
-    that share a, q and r; the whole stack runs through one loop.
+    b is a stack of k n x m input matrices, shaped (k, n, m), that share a,
+    q and r; the whole stack runs through one loop.  One system is a stack
+    of one, b[np.newaxis].
 
     Success means the float64 residual ||P - f(P)||_F fell below
     max(1e-9, rel_tolerance * ||P||_F); rounding noise makes the plain
@@ -299,25 +290,23 @@ def solve_dare(
     iteration where it exits, so it runs the steps, and gets the bits, that
     it would get alone.
 
-    A 2-D b gives a DareSolution, or raises its DareError.  A stack gives a
-    DareStack and raises for no element: p (k, n, n) and gain (k, m, n),
-    NaN where an element failed; each element's last residual (k,); errors,
-    each failed element's DareError and None elsewhere (``failed`` is that
-    mask); and iterations, summed over the elements.
+    Returns a DareStack and raises for no element: p (k, n, n) and gain
+    (k, m, n), NaN where an element failed; each element's last residual
+    (k,); errors, each failed element's DareError and None elsewhere
+    (``failed`` is that mask); and iterations, summed over the elements.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     b = np.asarray(b, dtype=float)
-    stacked = b.ndim == 3
-    if not stacked:
-        b = b.reshape(1, n, -1)
-    m = b.shape[2]
     q = np.asarray(q, dtype=float)
+    if a.shape != (n, n) or q.shape != (n, n) or b.ndim != 3 or b.shape[1] != n:
+        raise ValueError(
+            f"solve_dare: inconsistent matrix dimensions: a {a.shape}, q {q.shape}, "
+            f"b {b.shape} (a (k, n, m) stack)"
+        )
+    count, _, m = b.shape
     r = np.asarray(r, dtype=float).reshape(m, m)
-    if a.shape != (n, n) or q.shape != (n, n) or b.shape[1] != n:
-        raise ValueError("solve_dare: inconsistent matrix dimensions")
 
-    count = b.shape[0]
     p_out = np.full((count, n, n), np.nan)
     gain_out = np.full((count, m, n), np.nan)
     residual_out = np.full(count, np.nan)
@@ -361,10 +350,4 @@ def solve_dare(
                 residual_out[k] = last
                 errors[k] = DareError("Riccati iteration cap reached", residual=float(last))
 
-    if stacked:
-        return DareStack(p_out, gain_out, residual_out, tuple(errors), iterations)
-    if errors[0] is not None:
-        raise errors[0]
-    return DareSolution(
-        p=p_out[0], gain=gain_out[0], residual=float(residual_out[0]), iterations=iterations
-    )
+    return DareStack(p_out, gain_out, residual_out, tuple(errors), iterations)

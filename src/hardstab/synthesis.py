@@ -136,9 +136,12 @@ def k1_closed_form(params: HardFamilyParams, poles: Sequence[complex]) -> float:
 
 
 def closed_loop_charpoly(params: HardFamilyParams, gain: np.ndarray) -> np.ndarray:
-    """Ascending coefficients of det(zI - A - B1 K) for the b1 = 0 family."""
+    """Ascending coefficients of det(zI - A - B1 K) for the b1 = 0 family;
+    takes one (n,) gain, not a stack."""
     n = params.n
     k = _gain_array(gain, n)
+    if k.ndim != 1:
+        raise ValueError(f"gain shape {k.shape} is not one gain of dimension {n}")
     r, v = params.r, params.v
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
@@ -196,17 +199,20 @@ def ce_lqr_gain(params: HardFamilyParams, b1_hat):
     matrix norm grows like (r/v)^(2n); see solve_dare.  Synthesis succeeding
     says nothing about stability on the true system.
 
-    A float estimate gives its (n,) gain and raises DareError when the solve
-    fails.  A 1-D array of estimates is solved as one stack and gives
-    (gains, failed): a (k, n) array with one gain row per estimate, NaN
-    where its solve failed, and the mask of those rows.
+    Estimates are solved as one stack.  A float estimate, a stack of one,
+    gives its (n,) gain and raises that element's DareError when the solve
+    fails.  A 1-D array of estimates gives (gains, failed): a (k, n) array
+    with one gain row per estimate, NaN where its solve failed, and the
+    mask of those rows.
     """
-    a, b = hard_matrices(params.n, params.r, params.v, b1_hat)
+    a, b = hard_matrices(params.n, params.r, params.v, np.atleast_1d(b1_hat))
     _warn_if_large(params.n)
-    solution = solve_dare(a, b, np.eye(params.n), np.array([[1.0]]), rel_tolerance=1e-8)
-    if b.ndim == 2:
-        return solution.gain.ravel()
-    return solution.gain[:, 0], solution.failed
+    stack = solve_dare(a, b, np.eye(params.n), np.array([[1.0]]), rel_tolerance=1e-8)
+    if np.ndim(b1_hat):
+        return stack.gain[:, 0], stack.failed
+    if stack.errors[0] is not None:
+        raise stack.errors[0]
+    return stack.gain[0, 0]
 
 
 def recovered_poles(params: HardFamilyParams, gain: np.ndarray) -> np.ndarray:

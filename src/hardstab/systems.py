@@ -84,14 +84,14 @@ class HardFamilyParams:
     def __post_init__(self):
         if self.n < 2:
             raise ParameterError(f"dimension must be >= 2, got {self.n}")
-        if self.r <= 1:
-            raise ParameterError(f"r must exceed 1, got {self.r}")
+        if not 1 < self.r < np.inf:
+            raise ParameterError(f"r must be finite and exceed 1, got {self.r}")
         if not 0 < self.v < (self.r - 1) / 2:
             raise ParameterError(
                 f"v must lie in (0, (r-1)/2) = (0, {(self.r - 1) / 2}), got {self.v}"
             )
-        if self.b1 < 0:
-            raise ParameterError(f"b1 must be nonnegative, got {self.b1}")
+        if not 0 <= self.b1 < np.inf:
+            raise ParameterError(f"b1 must be nonnegative and finite, got {self.b1}")
 
     @property
     def sup_bound(self) -> float:
@@ -381,17 +381,23 @@ def ls_estimate_b1(traj: Trajectory, params: HardFamilyParams) -> float:
 CSV_FLOAT = "%.17g"
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """CSV with header t,u,x1,...,xn; row t carries u_t and x_t (u empty at t = N)."""
+def csv_line(values) -> str:
+    """One CSV row, by the rule every table follows: a float is written as
+    CSV_FLOAT, None as an empty field, and anything else as str gives it."""
+    return ",".join(
+        "" if value is None else CSV_FLOAT % value if isinstance(value, float) else str(value)
+        for value in values
+    )
+
+
+def trajectory_csv_lines(traj: Trajectory) -> list[str]:
+    """CSV lines with header t,u,x1,...,xn; row t carries u_t and x_t (u
+    empty at t = N)."""
     n = traj.states.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "u"] + [f"x{i + 1}" for i in range(n)])
-        for t in range(traj.states.shape[0]):
-            u_field = CSV_FLOAT % traj.inputs[t] if t < traj.horizon else ""
-            writer.writerow(
-                [t, u_field] + [CSV_FLOAT % value for value in traj.states[t]]
-            )
+    return [csv_line(["t", "u"] + [f"x{i + 1}" for i in range(n)])] + [
+        csv_line([t, traj.inputs[t] if t < traj.horizon else None, *traj.states[t]])
+        for t in range(traj.states.shape[0])
+    ]
 
 
 def read_trajectory_csv(path) -> Trajectory:

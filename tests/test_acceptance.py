@@ -364,14 +364,14 @@ def test_criterion_10_substrate_invariants():
     ]
     worst_residual = 0.0
     for a, b, q in cases:
-        sol = solve_dare(a, b, q, np.array([[1.0]]))
+        p = solve_dare(a, b[np.newaxis], q, np.array([[1.0]])).p[0]
         step = (
-            a.T @ sol.p @ a
-            - (a.T @ sol.p @ b)
-            @ np.linalg.solve(np.array([[1.0]]) + b.T @ sol.p @ b, b.T @ sol.p @ a)
+            a.T @ p @ a
+            - (a.T @ p @ b)
+            @ np.linalg.solve(np.array([[1.0]]) + b.T @ p @ b, b.T @ p @ a)
             + q
         )
-        worst_residual = max(worst_residual, float(np.linalg.norm(sol.p - step)))
+        worst_residual = max(worst_residual, float(np.linalg.norm(p - step)))
     dare_ok = worst_residual <= 1e-9
 
     rng = np.random.default_rng(ACCEPT_SEED + 4)

@@ -70,6 +70,22 @@ class TestSubcommands:
         assert lines[0] == "t,u,x1,x2"
         assert len(lines) == 22
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--n", "2", "--horizon", "5"],
+            ["kl-mc", "--n", "2", "--trials", "100", "--horizon", "5"],
+            ["exp-ce-lqr", "--n-values", "2", "--trials", "20"],
+            ["exp-lmi-sweep", "--n-values", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_written_csv_has_lf_line_endings(self, capsys, tmp_path, argv):
+        path = tmp_path / "out.csv"
+        run_cli(capsys, *argv, "--out", str(path))
+        data = path.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n")
+
     def test_exp_ce_lqr_determinism(self, capsys, tmp_path):
         argv = [
             "exp-ce-lqr",
@@ -235,6 +251,21 @@ class TestUsageErrors:
                 "sigma_u2 and sigma_w2 must be positive and finite",
             ),
             (["birge", "--n", "2", "--delta", "0.6"], "delta must lie in (0, 1/2), got 0.6"),
+            # an infinite r would otherwise print a bound of inf or 0
+            (["birge", "--n", "2", "--r", "inf"], "r must be finite and exceed 1, got inf"),
+            (
+                ["costab-bound", "--n", "2", "--r", "inf", "--poles", "0.3,0.3"],
+                "r must be finite and exceed 1, got inf",
+            ),
+            (["birge", "--n", "2", "--r", "nan"], "r must be finite and exceed 1, got nan"),
+            (
+                ["exp-ce-lqr", "--n-values", "2", "--true-b1", "inf"],
+                "b1 must be nonnegative and finite, got inf",
+            ),
+            (
+                ["exp-ce-lqr", "--n-values", "2", "--true-b1", "nan"],
+                "b1 must be nonnegative and finite, got nan",
+            ),
         ],
     )
     def test_rejected_value_exits_with_usage_message(self, capsys, argv, message):

@@ -121,46 +121,46 @@ def reference_dare(a, b, q, r, rel_tolerance):
 
 class TestSolveDare:
     def test_scalar_no_dynamics(self):
-        sol = solve_dare([[0.0]], [[1.0]], [[1.0]], [[1.0]])
-        assert sol.p[0, 0] == pytest.approx(1.0)
-        assert sol.gain[0, 0] == pytest.approx(0.0)
+        sol = solve_dare([[0.0]], [[[1.0]]], [[1.0]], [[1.0]])
+        assert sol.p[0][0, 0] == pytest.approx(1.0)
+        assert sol.gain[0][0, 0] == pytest.approx(0.0)
 
     def test_scalar_hand_algebra(self):
         # the fixed point reduces to p^2 = 1 + 0.25 p, so p = (1 + sqrt(65))/8
-        sol = solve_dare([[0.5]], [[1.0]], [[1.0]], [[1.0]])
-        p = sol.p[0, 0]
+        sol = solve_dare([[0.5]], [[[1.0]]], [[1.0]], [[1.0]])
+        p = sol.p[0][0, 0]
         assert p == pytest.approx((1 + np.sqrt(65)) / 8, rel=1e-9)
         assert p == pytest.approx(1.13278, abs=1e-5)
-        assert sol.gain[0, 0] == pytest.approx(-0.26557, abs=1e-5)
+        assert sol.gain[0][0, 0] == pytest.approx(-0.26557, abs=1e-5)
 
     def test_residual_definition(self):
         a = np.array([[0.9, 0.2], [0.0, 0.4]])
         b = np.array([[0.0], [1.0]])
         q = np.eye(2)
         r = np.array([[1.0]])
-        sol = solve_dare(a, b, q, r)
+        p = solve_dare(a, b[np.newaxis], q, r).p[0]
         step = (
-            a.T @ sol.p @ a
-            - (a.T @ sol.p @ b) @ np.linalg.solve(r + b.T @ sol.p @ b, b.T @ sol.p @ a)
+            a.T @ p @ a
+            - (a.T @ p @ b) @ np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a)
             + q
         )
-        assert np.linalg.norm(step - sol.p) <= 1e-9
+        assert np.linalg.norm(step - p) <= 1e-9
 
     def test_hard_family_n3_stabilizes(self):
         from hardstab.systems import hard_matrices
 
         a, b = hard_matrices(3, 3.2, 1.01, 0.0)
-        sol = solve_dare(a, b, np.eye(3), [[1.0]], rel_tolerance=1e-8)
-        assert spectral_radius(a + b @ sol.gain) < 1.0
+        sol = solve_dare(a, b[np.newaxis], np.eye(3), [[1.0]], rel_tolerance=1e-8)
+        assert spectral_radius(a + b @ sol.gain[0]) < 1.0
 
     def test_absolute_tolerance_failure_is_explicit(self):
         # cost magnitudes ~1e8 make the absolute 1e-9 residual unreachable
         from hardstab.systems import hard_matrices
 
-        a, b = hard_matrices(8, 3.2, 1.01, 0.0)
-        with pytest.raises(DareError) as err:
-            solve_dare(a, b, np.eye(8), [[1.0]])
-        assert err.value.residual is not None
+        a, b = hard_matrices(8, 3.2, 1.01, [0.0])
+        (error,) = solve_dare(a, b, np.eye(8), [[1.0]]).errors
+        assert isinstance(error, DareError)
+        assert error.residual is not None
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowed_iterate_is_a_failure(self):
@@ -169,15 +169,15 @@ class TestSolveDare:
         # overflow is this exit, not a warning
         from hardstab.systems import hard_matrices
 
-        a, b = hard_matrices(2, 3.2, 1.01, -(1.01**2) / 3.2)
-        with pytest.raises(DareError) as err:
-            solve_dare(a, b, np.eye(2), [[1.0]], rel_tolerance=1e-8)
-        assert not np.isfinite(err.value.residual)
+        a, b = hard_matrices(2, 3.2, 1.01, [-(1.01**2) / 3.2])
+        (error,) = solve_dare(a, b, np.eye(2), [[1.0]], rel_tolerance=1e-8).errors
+        assert isinstance(error, DareError)
+        assert not np.isfinite(error.residual)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_stacked_failure_stays_with_its_element(self):
         # the overflowing estimate among good ones: only its element fails,
-        # and every other element is bit for bit its 2-D solve
+        # and every other element is bit for bit its one-element solve
         from hardstab.systems import hard_matrices
 
         estimates = np.array([0.0, 0.02, -(1.01**2) / 3.2, -0.03, 1e-3])
@@ -189,10 +189,10 @@ class TestSolveDare:
         assert np.isnan(stack.gain[2]).all() and np.isnan(stack.p[2]).all()
         iterations = 0
         for i in (0, 1, 3, 4):
-            single = solve_dare(a, b[i], np.eye(2), [[1.0]], rel_tolerance=1e-8)
-            assert stack.gain[i].tobytes() == single.gain.tobytes()
-            assert stack.p[i].tobytes() == single.p.tobytes()
-            assert stack.residual[i] == single.residual
+            single = solve_dare(a, b[i : i + 1], np.eye(2), [[1.0]], rel_tolerance=1e-8)
+            assert stack.gain[i].tobytes() == single.gain[0].tobytes()
+            assert stack.p[i].tobytes() == single.p[0].tobytes()
+            assert stack.residual[i] == single.residual[0]
             iterations += single.iterations
         assert stack.iterations > iterations
 
@@ -222,10 +222,17 @@ class TestSolveDare:
         np.testing.assert_array_equal(stack.failed, [False, True, False])
         assert "singular" in str(stack.errors[1])
         for i in (0, 2):
-            single = solve_dare(a, b[i], np.eye(2), [[0.0]])
-            assert stack.gain[i].tobytes() == single.gain.tobytes()
-        with pytest.raises(DareError, match="singular"):
-            solve_dare(a, b[1], np.eye(2), [[0.0]])
+            single = solve_dare(a, b[i : i + 1], np.eye(2), [[0.0]])
+            assert stack.gain[i].tobytes() == single.gain[0].tobytes()
+        (error,) = solve_dare(a, b[1:2], np.eye(2), [[0.0]]).errors
+        assert isinstance(error, DareError)
+        assert "singular" in str(error)
+
+    def test_single_input_matrix_is_rejected(self):
+        # b must be a (k, n, m) stack; one system is b[np.newaxis]
+        a = np.array([[0.5, 0.1], [0.0, 0.3]])
+        with pytest.raises(ValueError, match=r"inconsistent matrix dimensions.*b \(2, 1\)"):
+            solve_dare(a, np.array([[0.0], [1.0]]), np.eye(2), [[1.0]])
 
 
 class TestPrng:

@@ -299,6 +299,17 @@ class TestGainShape:
         with pytest.raises(ValueError, match="does not match dimension 2"):
             recovered_poles(PARAMS2, gain)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 3)])
+    def test_stack_rejected_where_one_gain_is_taken(self, shape):
+        # a (k, n) stack's rows have the right length, but the charpoly
+        # takes one gain
+        params = HardFamilyParams(n=3, r=3.2, v=1.01)
+        message = rf"gain shape \({shape[0]}, 3\) is not one gain of dimension 3"
+        with pytest.raises(ValueError, match=message):
+            closed_loop_charpoly(params, np.zeros(shape))
+        with pytest.raises(ValueError, match=message):
+            recovered_poles(params, np.zeros(shape))
+
     def test_stack_gives_one_verdict_per_row(self):
         pair = make_hard_pair(PARAMS2, 0.0)
         stack = np.array(
@@ -331,6 +342,14 @@ class TestCeLqrGain:
         gain = ce_lqr_gain(params, 1e-9)
         assert is_stabilizing(truth, gain).stable
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_failed_float_solve_raises(self):
+        # the PBH-uncontrollable estimate b1 = -v^2/r at n = 2: the Riccati
+        # iterate overflows, and the float form raises that element's error
+        with pytest.raises(DareError, match="not finite") as err:
+            ce_lqr_gain(PARAMS2, -(1.01**2) / 3.2)
+        assert not np.isfinite(err.value.residual)
+
 
 class TestStackedCeLqr:
     def test_stack_matches_one_estimate_at_a_time(self):
@@ -353,14 +372,14 @@ class TestStackedCeLqr:
 
             single_failed, single_stable = [], []
             for i, b1_hat in enumerate(estimates):
-                try:
-                    single = solve_dare(a, b[i], np.eye(n), [[1.0]], rel_tolerance=1e-8)
-                except DareError:
-                    single_failed.append(True)
+                single = solve_dare(a, b[i : i + 1], np.eye(n), [[1.0]], rel_tolerance=1e-8)
+                single_failed.append(bool(single.failed[0]))
+                if single.failed[0]:
+                    with pytest.raises(DareError):
+                        ce_lqr_gain(params, float(b1_hat))
                     continue
-                single_failed.append(False)
-                assert single.gain.tobytes() == stack.gain[i].tobytes()
-                assert single.p.tobytes() == stack.p[i].tobytes()
+                assert single.gain[0].tobytes() == stack.gain[i].tobytes()
+                assert single.p[0].tobytes() == stack.p[i].tobytes()
                 gain = ce_lqr_gain(params, float(b1_hat))
                 single_stable.append(is_stabilizing(truth, gain).stable)
             assert failed.tolist() == single_failed

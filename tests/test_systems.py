@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hardstab.experiments import write_csv_lines
 from hardstab.numerics import Prng
 from hardstab.systems import (
     DivergedTrajectoryError,
@@ -10,12 +11,13 @@ from hardstab.systems import (
     NoExcitationError,
     ParameterError,
     controllability_matrix,
+    csv_line,
     hard_matrices,
     ls_estimate_b1,
     make_hard_pair,
     read_trajectory_csv,
     simulate,
-    write_trajectory_csv,
+    trajectory_csv_lines,
 )
 
 PARAMS2 = HardFamilyParams(n=2, r=3.2, v=1.01)
@@ -46,6 +48,11 @@ class TestHardPair:
             HardFamilyParams(n=2, r=0.9, v=0.01)
         with pytest.raises(ParameterError):
             make_hard_pair(PARAMS2, -0.5)
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ParameterError, match="r must be finite and exceed 1"):
+                HardFamilyParams(n=2, r=value, v=1.01)
+            with pytest.raises(ParameterError, match="b1 must be nonnegative and finite"):
+                HardFamilyParams(n=2, r=3.2, v=1.01, b1=value)
         for variance in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="noise variance must be nonnegative and finite"):
                 make_hard_pair(PARAMS2, 0.1, noise_variance=variance)
@@ -311,9 +318,42 @@ class TestTrajectoryCsv:
         pair = make_hard_pair(PARAMS2, 0.0, noise_variance=0.005)
         traj = simulate(pair.s1, InputPolicy.iid_gaussian(32.0), 12, Prng(2))
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path)
+        write_csv_lines(path, trajectory_csv_lines(traj))
         header = path.read_text().splitlines()[0]
         assert header == "t,u,x1,x2"
         loaded = read_trajectory_csv(path)
         np.testing.assert_allclose(loaded.states, traj.states)
         np.testing.assert_allclose(loaded.inputs, traj.inputs)
+
+
+class TestCsvLine:
+    def test_floats_round_trip_at_17_significant_digits(self):
+        values = [0.1, 1 / 3, np.float64(2.0) ** 0.5, -1e-300]
+        line = csv_line(values)
+        assert line == "0.10000000000000001,0.33333333333333331,1.4142135623730951,-1e-300"
+        assert [float(field) for field in line.split(",")] == [float(value) for value in values]
+
+    def test_non_finite_floats(self):
+        assert csv_line([float("-inf"), np.float64(np.inf), float("nan")]) == "-inf,inf,nan"
+
+    def test_none_is_an_empty_field(self):
+        assert csv_line([3, None, 0.5]) == "3,,0.5"
+        assert csv_line([None, None]) == ","
+
+    def test_ints_and_strings_are_written_as_str(self):
+        assert csv_line([7, np.int64(12), "ok", "interval-mismatch"]) == (
+            "7,12,ok,interval-mismatch"
+        )
+        # an int is not a float: it keeps every digit
+        assert csv_line([10**20]) == "100000000000000000000"
+
+    def test_trajectory_lines(self):
+        traj = simulate(
+            make_hard_pair(PARAMS2, 0.0).s1, InputPolicy.impulse(0, 1.0), 2, Prng(5)
+        )
+        assert trajectory_csv_lines(traj) == [
+            "t,u,x1,x2",
+            "0,1,0,0",
+            "1,0,0,1.01",
+            "2,,1.0201,0",
+        ]
