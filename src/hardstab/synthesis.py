@@ -127,8 +127,14 @@ def ackermann_gain(sys: LtiSystem, poles: Sequence[complex]) -> np.ndarray:
     return -(last_row @ closed_loop_matrix_polynomial(sys.a, p))
 
 
+def _require_b1_zero(params: HardFamilyParams) -> None:
+    if params.b1 != 0:
+        raise ValueError(f"the closed form holds for b1 = 0 only, got b1 = {params.b1}")
+
+
 def k1_closed_form(params: HardFamilyParams, poles: Sequence[complex]) -> float:
     """First gain element -prod_i (r - p_i) / v^n for the b1 = 0 family."""
+    _require_b1_zero(params)
     p = _stable_poles(poles, params.n)
     _warn_if_large(params.n)
     product = complex(np.prod(params.r - p))
@@ -138,6 +144,7 @@ def k1_closed_form(params: HardFamilyParams, poles: Sequence[complex]) -> float:
 def closed_loop_charpoly(params: HardFamilyParams, gain: np.ndarray) -> np.ndarray:
     """Ascending coefficients of det(zI - A - B1 K) for the b1 = 0 family;
     takes one (n,) gain, not a stack."""
+    _require_b1_zero(params)
     n = params.n
     k = _gain_array(gain, n)
     if k.ndim != 1:

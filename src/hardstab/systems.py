@@ -8,7 +8,6 @@ w_t i.i.d. N(0, sigma_w^2 I), and x_0 = 0.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -147,8 +146,8 @@ class HardPair:
 
 
 def make_hard_pair(params: HardFamilyParams, m: float, noise_variance: float = 0.0) -> HardPair:
-    if m < 0:
-        raise ParameterError(f"perturbation m must be nonnegative, got {m}")
+    if not 0 <= m < np.inf:
+        raise ParameterError(f"perturbation m must be nonnegative and finite, got {m}")
     a, b1 = hard_matrices(params.n, params.r, params.v, 0.0)
     _, b2 = hard_matrices(params.n, params.r, params.v, m)
     return HardPair(
@@ -272,16 +271,16 @@ class Trajectory:
     """Input/state sample path with its (seed, stream) provenance.
 
     ``first_coord_residuals[t-1]`` records x_t^(1) - (A x_{t-1})^(1) =
-    b1 u_{t-1} + w^(1)_{t-1} exactly as realized during simulation.  For
-    unstable open-loop rollouts the same quantity re-derived from stored
-    states loses all accuracy once |x| passes ~1/eps, so estimators prefer
-    this channel when present.
+    b1 u_{t-1} + w^(1)_{t-1} exactly as realized during simulation.  It is
+    the only residual channel: for unstable open-loop rollouts the same
+    quantity re-derived from stored states loses all accuracy once |x|
+    passes ~1/eps.
     """
 
     inputs: np.ndarray
     states: np.ndarray
     seed_record: tuple[int, int]
-    first_coord_residuals: Optional[np.ndarray] = None
+    first_coord_residuals: np.ndarray
 
     @property
     def horizon(self) -> int:
@@ -359,22 +358,15 @@ def simulate(
     return trajectories[0] if single else trajectories
 
 
-def ls_estimate_b1(traj: Trajectory, params: HardFamilyParams) -> float:
-    """Least-squares estimate of b1 with (r, v) known.
-
-    Exact minimizer of sum_t (res_t - b u_{t-1})^2 where
-    res_t = x_t^(1) - r x_{t-1}^(1) - v x_{t-1}^(2).
-    """
+def ls_estimate_b1(traj: Trajectory) -> float:
+    """Least-squares estimate of b1 with (r, v) known: the exact minimizer
+    of sum_t (res_t - b u_{t-1})^2 over the recorded residuals
+    res_t = x_t^(1) - r x_{t-1}^(1) - v x_{t-1}^(2)."""
     u = traj.inputs
     denominator = float(u @ u)
     if denominator == 0.0:
         raise NoExcitationError("all inputs are zero; b1 is unidentifiable")
-    if traj.first_coord_residuals is not None:
-        res = traj.first_coord_residuals
-    else:
-        x = traj.states
-        res = x[1:, 0] - params.r * x[:-1, 0] - params.v * x[:-1, 1]
-    return float(u @ res) / denominator
+    return float(u @ traj.first_coord_residuals) / denominator
 
 
 # Every CSV float: 17 significant digits, enough to round-trip a float64
@@ -399,20 +391,3 @@ def trajectory_csv_lines(traj: Trajectory) -> list[str]:
         for t in range(traj.states.shape[0])
     ]
 
-
-def read_trajectory_csv(path) -> Trajectory:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        n = len(header) - 2
-        inputs, states = [], []
-        for row in reader:
-            if row[1] != "":
-                inputs.append(float(row[1]))
-            states.append([float(value) for value in row[2:]])
-    return Trajectory(
-        inputs=np.array(inputs),
-        states=np.array(states).reshape(-1, n),
-        seed_record=(0, 0),
-        first_coord_residuals=None,
-    )

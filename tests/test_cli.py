@@ -266,6 +266,17 @@ class TestUsageErrors:
                 ["exp-ce-lqr", "--n-values", "2", "--true-b1", "nan"],
                 "b1 must be nonnegative and finite, got nan",
             ),
+            # simulate and ackermann check the family like every other command
+            # (n = 0 would otherwise end in an IndexError traceback, and n = 1
+            # simulate a system whose b1 entry was overwritten with v)
+            (["simulate", "--n", "0"], "dimension must be >= 2, got 0"),
+            (["ackermann", "--n", "0", "--poles", "0"], "dimension must be >= 2, got 0"),
+            (["simulate", "--n", "1", "--horizon", "3"], "dimension must be >= 2, got 1"),
+            (["simulate", "--v", "5"], "v must lie in (0, (r-1)/2)"),
+            (["simulate", "--b1", "-1"], "b1 must be nonnegative and finite, got -1.0"),
+            (["pair", "--m", "inf"], "perturbation m must be nonnegative and finite, got inf"),
+            (["pair", "--m", "nan"], "perturbation m must be nonnegative and finite, got nan"),
+            (["kl-mc", "--m", "nan"], "perturbation m must be nonnegative and finite, got nan"),
         ],
     )
     def test_rejected_value_exits_with_usage_message(self, capsys, argv, message):

@@ -14,7 +14,7 @@ from hardstab.synthesis import (
     perturbed_charpoly,
     recovered_poles,
 )
-from hardstab.systems import HardFamilyParams, hard_matrices, make_hard_pair
+from hardstab.systems import HardFamilyParams, LtiSystem, hard_matrices, make_hard_pair
 
 PARAMS2 = HardFamilyParams(n=2, r=3.2, v=1.01)
 
@@ -400,6 +400,22 @@ class TestCeLqrRiccatiOracle:
             p = solve_discrete_are(a, b, np.eye(n), np.eye(1))
             oracle = -np.linalg.solve(np.eye(1) + b.T @ p @ b, b.T @ p @ a).ravel()
             np.testing.assert_allclose(ce_lqr_gain(params, b1_hat), oracle, rtol=1e-6)
+
+
+class TestB1ZeroClosedForms:
+    def test_nonzero_b1_rejected(self):
+        # these closed forms hold for b1 = 0 only: here they would give a z^2
+        # coefficient of -2.79 (true -0.6) and k1 = -26.18 (the gain's -4.385)
+        params = HardFamilyParams(n=3, r=3.2, v=1.01, b1=0.5)
+        a, b = hard_matrices(params.n, params.r, params.v, params.b1)
+        poles = [0.1, 0.2, 0.3]
+        gain = ackermann_gain(LtiSystem(a, b), poles)
+        with pytest.raises(ValueError, match="b1 = 0.5"):
+            closed_loop_charpoly(params, gain)
+        with pytest.raises(ValueError, match="b1 = 0.5"):
+            recovered_poles(params, gain)
+        with pytest.raises(ValueError, match="b1 = 0.5"):
+            k1_closed_form(params, poles)
 
 
 class TestConditioningWarning:

@@ -15,7 +15,6 @@ from hardstab.systems import (
     hard_matrices,
     ls_estimate_b1,
     make_hard_pair,
-    read_trajectory_csv,
     simulate,
     trajectory_csv_lines,
 )
@@ -46,8 +45,9 @@ class TestHardPair:
             HardFamilyParams(n=1, r=3.2, v=1.01)
         with pytest.raises(ParameterError):
             HardFamilyParams(n=2, r=0.9, v=0.01)
-        with pytest.raises(ParameterError):
-            make_hard_pair(PARAMS2, -0.5)
+        for m in (-0.5, float("inf"), float("nan")):
+            with pytest.raises(ParameterError, match="m must be nonnegative and finite"):
+                make_hard_pair(PARAMS2, m)
         for value in (float("inf"), float("nan")):
             with pytest.raises(ParameterError, match="r must be finite and exceed 1"):
                 HardFamilyParams(n=2, r=value, v=1.01)
@@ -279,36 +279,26 @@ class TestInputPolicy:
 
 
 class TestLsEstimate:
-    def test_noiseless_recovery(self):
+    # 200 steps is far past where residuals re-derived from the states,
+    # |x| ~ r^t, would lose the O(1) signal to rounding
+    @pytest.mark.parametrize("horizon", [40, 200])
+    def test_noiseless_recovery(self, horizon):
         pair = make_hard_pair(PARAMS2, 0.1, noise_variance=0.0)
-        traj = simulate(pair.s2, InputPolicy.iid_gaussian(32.0), 40, Prng(8))
-        assert ls_estimate_b1(traj, PARAMS2) == pytest.approx(0.1, rel=1e-12)
-
-    def test_noiseless_recovery_from_states(self):
-        # short horizon: the state-difference residuals lose the O(1) signal
-        # to rounding once |x| ~ r^t reaches 1/eps
-        pair = make_hard_pair(PARAMS2, 0.1, noise_variance=0.0)
-        traj = simulate(pair.s2, InputPolicy.iid_gaussian(32.0), 12, Prng(8))
-        stripped = traj.__class__(
-            inputs=traj.inputs,
-            states=traj.states,
-            seed_record=traj.seed_record,
-            first_coord_residuals=None,
-        )
-        assert ls_estimate_b1(stripped, PARAMS2) == pytest.approx(0.1, rel=1e-8)
+        traj = simulate(pair.s2, InputPolicy.iid_gaussian(32.0), horizon, Prng(8))
+        assert ls_estimate_b1(traj) == pytest.approx(0.1, rel=1e-12)
 
     def test_zero_input_error(self):
         pair = make_hard_pair(PARAMS2, 0.1, noise_variance=0.005)
         traj = simulate(pair.s2, InputPolicy.zero(), 20, Prng(8))
         with pytest.raises(NoExcitationError):
-            ls_estimate_b1(traj, PARAMS2)
+            ls_estimate_b1(traj)
 
     def test_unbiasedness_monte_carlo(self):
         pair = make_hard_pair(PARAMS2, 0.1, noise_variance=0.005)
         policy = InputPolicy.iid_gaussian(32.0)
         # one stacked rollout; each row is what simulate(..., Prng(444, k)) gives
         trajectories = simulate(pair.s2, policy, 100, [Prng(444, k) for k in range(10_000)])
-        estimates = np.array([ls_estimate_b1(traj, PARAMS2) for traj in trajectories])
+        estimates = np.array([ls_estimate_b1(traj) for traj in trajectories])
         std_error = estimates.std(ddof=1) / np.sqrt(len(estimates))
         assert abs(estimates.mean() - 0.1) <= 3 * std_error
 
@@ -319,11 +309,13 @@ class TestTrajectoryCsv:
         traj = simulate(pair.s1, InputPolicy.iid_gaussian(32.0), 12, Prng(2))
         path = tmp_path / "traj.csv"
         write_csv_lines(path, trajectory_csv_lines(traj))
-        header = path.read_text().splitlines()[0]
-        assert header == "t,u,x1,x2"
-        loaded = read_trajectory_csv(path)
-        np.testing.assert_allclose(loaded.states, traj.states)
-        np.testing.assert_allclose(loaded.inputs, traj.inputs)
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert header == ["t", "u", "x1", "x2"]
+        assert [int(row[0]) for row in rows] == list(range(13))
+        assert rows[-1][1] == ""
+        # 17 significant digits read back to the very same floats
+        np.testing.assert_array_equal([float(row[1]) for row in rows[:-1]], traj.inputs)
+        np.testing.assert_array_equal([[float(x) for x in row[2:]] for row in rows], traj.states)
 
 
 class TestCsvLine:
