@@ -95,7 +95,7 @@ def _add_family_flags(parser, include_m=False, include_b1=False):
     if include_m:
         parser.add_argument("--m", type=float, default=0.1, help="first input coefficient of the sibling")
     if include_b1:
-        parser.add_argument("--b1", type=float, default=systems.HardFamilyParams.b1, help="first input coefficient")
+        parser.add_argument("--b1", type=float, default=0.0, help="first input coefficient")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,8 +223,8 @@ def main(argv=None) -> int:
     return 0
 
 
-def _params(args: argparse.Namespace, b1: float = 0.0) -> systems.HardFamilyParams:
-    return systems.HardFamilyParams(n=args.n, r=args.r, v=args.v, b1=b1)
+def _params(args: argparse.Namespace) -> systems.HardFamilyParams:
+    return systems.HardFamilyParams(n=args.n, r=args.r, v=args.v)
 
 
 def _write(path, lines: list[str]) -> None:
@@ -247,9 +247,7 @@ def _run(args: argparse.Namespace) -> None:
         print(_format_matrix("B2", pair.s2.b.ravel()))
 
     elif args.command == "simulate":
-        sys_ = dataclasses.replace(
-            systems.hard_system(_params(args, args.b1)), noise_variance=args.sigma_w2
-        )
+        sys_ = systems.hard_system(_params(args), args.b1, args.sigma_w2)
         if args.policy == "iid-gaussian":
             policy = systems.InputPolicy.iid_gaussian(args.sigma_u2)
         elif args.policy == "zero":
@@ -262,13 +260,13 @@ def _run(args: argparse.Namespace) -> None:
             _write(args.out, systems.trajectory_csv_lines(traj))
 
     elif args.command == "ackermann":
-        params = _params(args, args.b1)
-        sys_ = systems.hard_system(params)
+        params = _params(args)
+        sys_ = systems.hard_system(params, args.b1)
         gain = synthesis.ackermann_gain(sys_, args.poles)
         print(f"K = {gain}")
         report = synthesis.is_stabilizing(sys_, gain)
         print(f"closed-loop spectral radius = {report.spectral_radius:.12g}")
-        if params.b1 == 0.0:
+        if args.b1 == 0.0:
             print(f"k1 closed form = {synthesis.k1_closed_form(params, args.poles):.12g}")
 
     elif args.command == "jury":

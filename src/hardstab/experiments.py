@@ -94,9 +94,9 @@ class _CeDecision:
     array of estimates, from one stacked Riccati solve and one stacked
     stability test; each estimate gets the bits it would get alone."""
 
-    def __init__(self, params: HardFamilyParams):
+    def __init__(self, params: HardFamilyParams, true_b1: float):
         self.params = params
-        self.true_system = hard_system(params)
+        self.true_system = hard_system(params, true_b1)
 
     def outcomes(self, b1_hats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(stable, failed) masks for a 1-D array of estimates; an estimate
@@ -314,9 +314,8 @@ def _run_ce_lqr_single(config: CeLqrConfig, n: int) -> CeLqrRow:
     synthesis_failures.
     """
     t0 = time.perf_counter()
-    params = HardFamilyParams(n=n, r=config.r, v=config.v, b1=config.true_b1)
-    decide = _CeDecision(params)
-    interval = _StableInterval(decide.outcomes, params.b1)
+    decide = _CeDecision(HardFamilyParams(n=n, r=config.r, v=config.v), config.true_b1)
+    interval = _StableInterval(decide.outcomes, config.true_b1)
 
     trials = config.trials
     threshold = config.success_threshold

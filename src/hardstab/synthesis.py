@@ -34,8 +34,11 @@ _CONJUGATE_TOL = 1e-9
 
 def _validate_conjugate_closed(poles: Sequence[complex], n: int) -> np.ndarray:
     """Return the n poles as a complex array, failing unless the multiset is
-    closed under conjugation (required for a real gain)."""
+    closed under conjugation (required for a real gain) and finite."""
     p = np.atleast_1d(np.asarray(poles, dtype=complex))
+    nonfinite = p[~np.isfinite(p)]
+    if nonfinite.size:
+        raise PoleSetError(f"poles must be finite, got {nonfinite[0]}")
     scale = max(1.0, float(np.max(np.abs(p))))
     remaining = list(p)
     while remaining:
@@ -127,14 +130,8 @@ def ackermann_gain(sys: LtiSystem, poles: Sequence[complex]) -> np.ndarray:
     return -(last_row @ closed_loop_matrix_polynomial(sys.a, p))
 
 
-def _require_b1_zero(params: HardFamilyParams) -> None:
-    if params.b1 != 0:
-        raise ValueError(f"the closed form holds for b1 = 0 only, got b1 = {params.b1}")
-
-
 def k1_closed_form(params: HardFamilyParams, poles: Sequence[complex]) -> float:
     """First gain element -prod_i (r - p_i) / v^n for the b1 = 0 family."""
-    _require_b1_zero(params)
     p = _stable_poles(poles, params.n)
     _warn_if_large(params.n)
     product = complex(np.prod(params.r - p))
@@ -144,7 +141,6 @@ def k1_closed_form(params: HardFamilyParams, poles: Sequence[complex]) -> float:
 def closed_loop_charpoly(params: HardFamilyParams, gain: np.ndarray) -> np.ndarray:
     """Ascending coefficients of det(zI - A - B1 K) for the b1 = 0 family;
     takes one (n,) gain, not a stack."""
-    _require_b1_zero(params)
     n = params.n
     k = _gain_array(gain, n)
     if k.ndim != 1:
@@ -172,6 +168,8 @@ def perturbed_charpoly(base: np.ndarray, m: float, k1: float) -> np.ndarray:
 def jury_necessary(p: np.ndarray) -> JuryReport:
     """Necessary stability conditions Delta(1) > 0 and (-1)^n Delta(-1) > 0."""
     coeffs = poly_trim(p)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(f"coefficients must be finite, got {coeffs.tolist()}")
     if coeffs[-1] <= 0:
         raise ValueError("leading coefficient must be positive; normalize first")
     n = coeffs.size - 1

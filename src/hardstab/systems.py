@@ -73,12 +73,13 @@ class LtiSystem:
 
 @dataclass(frozen=True)
 class HardFamilyParams:
-    """Parameters (n, r, v, b1) of the hard family; validated on construction."""
+    """Parameters (n, r, v) of the hard family; validated on construction.
+    The first input coefficient b1 is not one of them: it picks a member
+    (see hard_system)."""
 
     n: int
     r: float
     v: float
-    b1: float = 0.0
 
     def __post_init__(self):
         if self.n < 2:
@@ -89,8 +90,6 @@ class HardFamilyParams:
             raise ParameterError(
                 f"v must lie in (0, (r-1)/2) = (0, {(self.r - 1) / 2}), got {self.v}"
             )
-        if not 0 <= self.b1 < np.inf:
-            raise ParameterError(f"b1 must be nonnegative and finite, got {self.b1}")
 
     @property
     def sup_bound(self) -> float:
@@ -130,9 +129,12 @@ def hard_matrices(n: int, r: float, v: float, b1) -> tuple[np.ndarray, np.ndarra
     return a, b
 
 
-def hard_system(params: HardFamilyParams) -> LtiSystem:
-    a, b = hard_matrices(params.n, params.r, params.v, params.b1)
-    return LtiSystem(a=a, b=b)
+def hard_system(params: HardFamilyParams, b1: float = 0.0, noise_variance: float = 0.0) -> LtiSystem:
+    """The family member with first input coefficient b1."""
+    if not 0 <= b1 < np.inf:
+        raise ParameterError(f"b1 must be nonnegative and finite, got {b1}")
+    a, b = hard_matrices(params.n, params.r, params.v, b1)
+    return LtiSystem(a=a, b=b, noise_variance=noise_variance)
 
 
 @dataclass(frozen=True)
@@ -148,11 +150,9 @@ class HardPair:
 def make_hard_pair(params: HardFamilyParams, m: float, noise_variance: float = 0.0) -> HardPair:
     if not 0 <= m < np.inf:
         raise ParameterError(f"perturbation m must be nonnegative and finite, got {m}")
-    a, b1 = hard_matrices(params.n, params.r, params.v, 0.0)
-    _, b2 = hard_matrices(params.n, params.r, params.v, m)
     return HardPair(
-        s1=LtiSystem(a=a, b=b1, noise_variance=noise_variance),
-        s2=LtiSystem(a=a, b=b2, noise_variance=noise_variance),
+        s1=hard_system(params, 0.0, noise_variance),
+        s2=hard_system(params, m, noise_variance),
         m=m,
         params=params,
     )

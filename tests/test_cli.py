@@ -277,6 +277,14 @@ class TestUsageErrors:
             (["pair", "--m", "inf"], "perturbation m must be nonnegative and finite, got inf"),
             (["pair", "--m", "nan"], "perturbation m must be nonnegative and finite, got nan"),
             (["kl-mc", "--m", "nan"], "perturbation m must be nonnegative and finite, got nan"),
+            # a non-finite coefficient would otherwise print "pass" or NaN
+            # quantities, and a non-finite pole a bound of nan or a
+            # LinAlgError traceback
+            (["jury", "--coeffs", "0.5,inf"], "coefficients must be finite, got [0.5, inf]"),
+            (["jury", "--coeffs", "1,nan"], "coefficients must be finite, got [1.0, nan]"),
+            (["costab-bound", "--n", "2", "--poles", "nan,0"], "poles must be finite, got (nan+0j)"),
+            (["ackermann", "--n", "2", "--poles", "nan,0"], "poles must be finite, got (nan+0j)"),
+            (["ackermann", "--n", "2", "--poles", "inf,0"], "poles must be finite, got (inf+0j)"),
         ],
     )
     def test_rejected_value_exits_with_usage_message(self, capsys, argv, message):

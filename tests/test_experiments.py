@@ -37,8 +37,8 @@ def _estimates(config, n, length):
 def _direct_rate(config, n, length):
     """Share of trials whose estimate from the first ``length`` samples gives
     a stabilizing CE-LQR gain, by synthesis on every trial."""
-    params = HardFamilyParams(n=n, r=config.r, v=config.v, b1=config.true_b1)
-    truth = hard_system(params)
+    params = HardFamilyParams(n=n, r=config.r, v=config.v)
+    truth = hard_system(params, config.true_b1)
     stable = 0
     for b1_hat in _estimates(config, n, length):
         try:
@@ -206,7 +206,7 @@ class TestStabilityInterval:
     def test_no_estimate_decided_twice(self):
         # each decision is a Riccati solve; the search must not repeat one,
         # and it stops at adjacent floats across each edge
-        decide = experiments._CeDecision(HardFamilyParams(n=4, r=3.2, v=1.01))
+        decide = experiments._CeDecision(HardFamilyParams(n=4, r=3.2, v=1.01), 0.0)
         decided = []
 
         def recording(b1_hat):
@@ -225,7 +225,7 @@ class TestStabilityInterval:
         # then calls of at most one bisection subtree per side, every
         # estimate strictly inside the bracket that a plain bisection of that
         # side has reached on the verdicts decided so far
-        decide = experiments._CeDecision(HardFamilyParams(n=4, r=3.2, v=1.01))
+        decide = experiments._CeDecision(HardFamilyParams(n=4, r=3.2, v=1.01), 0.0)
         depth = experiments._SUBTREE_DEPTH
         calls, verdicts, brackets = [], {}, []
 
@@ -263,7 +263,7 @@ class TestStabilityInterval:
     @pytest.mark.parametrize("n, b1", [(n, 0.0) for n in range(2, 9)] + [(2, 0.2), (3, 0.2)])
     def test_edges_match_a_one_sided_search(self, n, b1):
         # each edge is the float that a plain search of that side alone finds
-        outcomes = experiments._CeDecision(HardFamilyParams(n=n, r=3.2, v=1.01, b1=b1)).outcomes
+        outcomes = experiments._CeDecision(HardFamilyParams(n=n, r=3.2, v=1.01), b1).outcomes
         lower, upper = _full_edges(outcomes, b1)
         assert lower.hex() == _one_sided_edge(outcomes, b1, -1e-6).hex()
         assert upper.hex() == _one_sided_edge(outcomes, b1, 1e-6).hex()
@@ -291,9 +291,8 @@ class TestStabilityInterval:
     def test_interval_around_a_nonzero_truth(self):
         # the estimate 0 does not stabilize the truth b1 = 0.2; the search
         # starts from the truth
-        params = HardFamilyParams(n=3, r=3.2, v=1.01, b1=0.2)
-        outcomes = experiments._CeDecision(params).outcomes
-        lower, upper = _full_edges(outcomes, params.b1)
+        outcomes = experiments._CeDecision(HardFamilyParams(n=3, r=3.2, v=1.01), 0.2).outcomes
+        lower, upper = _full_edges(outcomes, 0.2)
         assert not _decide_one(outcomes, 0.0)
         assert lower < 0.2 < upper
         assert _decide_one(outcomes, lower) and _decide_one(outcomes, upper)
@@ -309,7 +308,7 @@ class TestStabilityInterval:
         # flips decisions over up to 3e-8 of the edge's value (n = 8), so
         # the decision is not monotone there; the rows' direct check guards
         # the estimates they count
-        decide = experiments._CeDecision(HardFamilyParams(n=n, r=3.2, v=1.01))
+        decide = experiments._CeDecision(HardFamilyParams(n=n, r=3.2, v=1.01), 0.0)
         lower, upper = _full_edges(decide.outcomes, 0.0)
         width = upper - lower
         scan = np.linspace(lower - width / 2, upper + width / 2, 801)
@@ -327,10 +326,10 @@ class TestStabilityInterval:
         # truth (measured: width 1.0016-1.0148 times 2 (v/r)^n, midpoint
         # 0.25-1.24% of the width from the truth)
         params = HardFamilyParams(n=n, r=3.2, v=v)
-        lower, upper = _full_edges(experiments._CeDecision(params).outcomes, params.b1)
+        lower, upper = _full_edges(experiments._CeDecision(params, 0.0).outcomes, 0.0)
         width = upper - lower
         assert width / (2 * (v / params.r) ** n) == pytest.approx(1.0, abs=0.02)
-        assert abs(0.5 * (lower + upper) - params.b1) <= 0.02 * width
+        assert abs(0.5 * (lower + upper)) <= 0.02 * width
 
 
 class TestLazyInterval:
@@ -340,7 +339,7 @@ class TestLazyInterval:
         # streams (and more: the rows stop by N = 446) answers as the edges
         # searched to the end do
         config = CeLqrConfig(seed=20240814)
-        outcomes = _Memo(experiments._CeDecision(HardFamilyParams(n=n, r=3.2, v=1.01)))
+        outcomes = _Memo(experiments._CeDecision(HardFamilyParams(n=n, r=3.2, v=1.01), 0.0))
         lower, upper = _full_edges(outcomes, 0.0)
         interval = experiments._StableInterval(outcomes, 0.0)
         stops = experiments._grid_points(n + 1, 500)
@@ -353,8 +352,7 @@ class TestLazyInterval:
     def test_bracket_points_and_final_edges(self, n, b1):
         # the estimates where laziness could go wrong: every bracket's ends,
         # midpoint and their float neighbours, the final edges among them
-        params = HardFamilyParams(n=n, r=3.2, v=1.01, b1=b1)
-        outcomes = _Memo(experiments._CeDecision(params))
+        outcomes = _Memo(experiments._CeDecision(HardFamilyParams(n=n, r=3.2, v=1.01), b1))
         points = _bracket_points(outcomes, b1)
         lower, upper = _full_edges(outcomes, b1)
         edges = [lower, upper, np.nextafter(lower, -np.inf), np.nextafter(upper, np.inf)]
@@ -408,7 +406,7 @@ class TestLazyInterval:
         st = pytest.importorskip("hypothesis.strategies")
         cases = {}
         for n in (2, 3, 4):
-            outcomes = _Memo(experiments._CeDecision(HardFamilyParams(n=n, r=3.2, v=1.01)))
+            outcomes = _Memo(experiments._CeDecision(HardFamilyParams(n=n, r=3.2, v=1.01), 0.0))
             cases[n] = outcomes, _full_edges(outcomes, 0.0)
 
         def near(edge):
@@ -458,21 +456,23 @@ class TestRunCeLqr:
         assert run_ce_lqr(lo).rows[0].min_n <= run_ce_lqr(hi).rows[0].min_n
 
     def test_prefix_data_matches_simulation(self):
-        # the experiment's per-trial stream must agree with simulate() on the
-        # same stream: same inputs, same first-coordinate residuals
-        config = CeLqrConfig(n_values=(3,), trials=4, seed=77)
-        params = HardFamilyParams(n=3, r=config.r, v=config.v, b1=config.true_b1)
-        pair = make_hard_pair(params, 0.0, noise_variance=config.sigma_w2)
-        policy = InputPolicy.iid_gaussian(config.sigma_u2)
-        horizon = 25
-        for trial in range(4):
-            traj = simulate(pair.s1, policy, horizon, Prng(config.seed, trial))
-            gen = Prng(config.seed, trial).generator
-            block = gen.standard_normal((horizon, 1 + 3))
-            u = np.sqrt(config.sigma_u2) * block[:, 0]
-            res = config.true_b1 * u + np.sqrt(config.sigma_w2) * block[:, 1]
-            np.testing.assert_array_equal(traj.inputs, u)
-            np.testing.assert_array_equal(traj.first_coord_residuals, res)
+        # the experiment's per-trial stream must agree with simulate() of the
+        # truth on the same stream: same inputs, same first-coordinate
+        # residuals
+        for true_b1 in (0.0, 0.2):
+            config = CeLqrConfig(n_values=(3,), trials=4, seed=77, true_b1=true_b1)
+            params = HardFamilyParams(n=3, r=config.r, v=config.v)
+            pair = make_hard_pair(params, config.true_b1, noise_variance=config.sigma_w2)
+            policy = InputPolicy.iid_gaussian(config.sigma_u2)
+            horizon = 25
+            for trial in range(4):
+                traj = simulate(pair.s2, policy, horizon, Prng(config.seed, trial))
+                gen = Prng(config.seed, trial).generator
+                block = gen.standard_normal((horizon, 1 + 3))
+                u = np.sqrt(config.sigma_u2) * block[:, 0]
+                res = config.true_b1 * u + np.sqrt(config.sigma_w2) * block[:, 1]
+                np.testing.assert_array_equal(traj.inputs, u)
+                np.testing.assert_array_equal(traj.first_coord_residuals, res)
 
     def test_csv_shape(self):
         config = CeLqrConfig(n_values=(2,), trials=50, seed=5)

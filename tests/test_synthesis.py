@@ -14,7 +14,7 @@ from hardstab.synthesis import (
     perturbed_charpoly,
     recovered_poles,
 )
-from hardstab.systems import HardFamilyParams, LtiSystem, hard_matrices, make_hard_pair
+from hardstab.systems import HardFamilyParams, hard_matrices, make_hard_pair
 
 PARAMS2 = HardFamilyParams(n=2, r=3.2, v=1.01)
 
@@ -266,6 +266,31 @@ class TestCostabBound:
             costab_bound(PARAMS2, [1.0, 0.0])
 
 
+class TestNonFiniteRejected:
+    # a NaN pole passes the |p| >= 1 test, and a NaN or infinite
+    # coefficient gives NaN Jury quantities or a "pass"
+    @pytest.mark.parametrize(
+        "poles", [[np.nan, 0.0], [np.inf, 0.0], [0.1 + np.inf * 1j, 0.1 - np.inf * 1j]]
+    )
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda poles: costab_bound(PARAMS2, poles),
+            lambda poles: k1_closed_form(PARAMS2, poles),
+            lambda poles: ackermann_gain(make_hard_pair(PARAMS2, 0.0).s1, poles),
+        ],
+        ids=["costab_bound", "k1_closed_form", "ackermann_gain"],
+    )
+    def test_pole(self, use, poles):
+        with pytest.raises(PoleSetError, match="poles must be finite"):
+            use(poles)
+
+    @pytest.mark.parametrize("coeffs", [[0.5, np.inf], [1.0, np.nan], [-np.inf, 0.0, 1.0]])
+    def test_jury_coefficient(self, coeffs):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            jury_necessary(np.array(coeffs))
+
+
 class TestIsStabilizing:
     def test_by_construction(self):
         pair = make_hard_pair(PARAMS2, 0.0)
@@ -400,22 +425,6 @@ class TestCeLqrRiccatiOracle:
             p = solve_discrete_are(a, b, np.eye(n), np.eye(1))
             oracle = -np.linalg.solve(np.eye(1) + b.T @ p @ b, b.T @ p @ a).ravel()
             np.testing.assert_allclose(ce_lqr_gain(params, b1_hat), oracle, rtol=1e-6)
-
-
-class TestB1ZeroClosedForms:
-    def test_nonzero_b1_rejected(self):
-        # these closed forms hold for b1 = 0 only: here they would give a z^2
-        # coefficient of -2.79 (true -0.6) and k1 = -26.18 (the gain's -4.385)
-        params = HardFamilyParams(n=3, r=3.2, v=1.01, b1=0.5)
-        a, b = hard_matrices(params.n, params.r, params.v, params.b1)
-        poles = [0.1, 0.2, 0.3]
-        gain = ackermann_gain(LtiSystem(a, b), poles)
-        with pytest.raises(ValueError, match="b1 = 0.5"):
-            closed_loop_charpoly(params, gain)
-        with pytest.raises(ValueError, match="b1 = 0.5"):
-            recovered_poles(params, gain)
-        with pytest.raises(ValueError, match="b1 = 0.5"):
-            k1_closed_form(params, poles)
 
 
 class TestConditioningWarning:

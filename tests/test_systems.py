@@ -13,6 +13,7 @@ from hardstab.systems import (
     controllability_matrix,
     csv_line,
     hard_matrices,
+    hard_system,
     ls_estimate_b1,
     make_hard_pair,
     simulate,
@@ -52,7 +53,7 @@ class TestHardPair:
             with pytest.raises(ParameterError, match="r must be finite and exceed 1"):
                 HardFamilyParams(n=2, r=value, v=1.01)
             with pytest.raises(ParameterError, match="b1 must be nonnegative and finite"):
-                HardFamilyParams(n=2, r=3.2, v=1.01, b1=value)
+                hard_system(HardFamilyParams(2, 3.2, 1.01), value)
         for variance in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="noise variance must be nonnegative and finite"):
                 make_hard_pair(PARAMS2, 0.1, noise_variance=variance)
