@@ -295,7 +295,7 @@ def _estimate_chunks(
             consumed += width
 
 
-def _run_ce_lqr_single(config: CeLqrConfig, n: int) -> CeLqrRow:
+def _run_ce_lqr_single(config: CeLqrConfig, params: HardFamilyParams) -> CeLqrRow:
     """Minimum-sample search in one streaming pass.
 
     Each decision depends on the estimate only, and the stable estimates
@@ -314,17 +314,17 @@ def _run_ce_lqr_single(config: CeLqrConfig, n: int) -> CeLqrRow:
     synthesis_failures.
     """
     t0 = time.perf_counter()
-    decide = _CeDecision(HardFamilyParams(n=n, r=config.r, v=config.v), config.true_b1)
+    decide = _CeDecision(params, config.true_b1)
     interval = _StableInterval(decide.outcomes, config.true_b1)
 
     trials = config.trials
     threshold = config.success_threshold
-    grid = _grid_points(n + 1, _MAX_PROBE_LENGTH)
+    grid = _grid_points(params.n + 1, _MAX_PROBE_LENGTH)
 
     min_n = None
     hit = None  # (N, estimates at N then N - 1): first pass since the last failing point
     previous = np.empty(0)  # estimates at the last N streamed (none before N = 1)
-    for start, b_hats, at_point in _estimate_chunks(config, n, grid):
+    for start, b_hats, at_point in _estimate_chunks(config, params.n, grid):
         members = np.count_nonzero(interval.contains(b_hats), axis=0)
         passing = members / trials >= threshold
         if hit is None and passing.any():
@@ -350,7 +350,7 @@ def _run_ce_lqr_single(config: CeLqrConfig, n: int) -> CeLqrRow:
     else:
         status = "saturated" if min_n is None else "ok"
     return CeLqrRow(
-        n=n,
+        n=params.n,
         min_n=min_n,
         rate_at_min_n=float(stable[:trials].mean()),
         synthesis_failures=int(np.count_nonzero(failed)),
@@ -361,8 +361,9 @@ def _run_ce_lqr_single(config: CeLqrConfig, n: int) -> CeLqrRow:
 
 def run_ce_lqr(config: CeLqrConfig) -> CeLqrResult:
     """Minimum-sample search across dimensions; deterministic given the seed
-    (wall times excepted)."""
-    rows = tuple(_run_ce_lqr_single(config, n) for n in config.n_values)
+    (wall times excepted); every row's family is checked first."""
+    families = [HardFamilyParams(n=n, r=config.r, v=config.v) for n in config.n_values]
+    rows = tuple(_run_ce_lqr_single(config, params) for params in families)
     return CeLqrResult(rows=rows)
 
 
@@ -383,13 +384,14 @@ class LmiSweepRow:
 def run_lmi_sweep(
     n_values: Sequence[int], r: float, v: float, tolerance: float = BISECTION_TOLERANCE
 ) -> list[LmiSweepRow]:
+    """One bisection row per n; every row's family is checked first."""
+    families = [HardFamilyParams(n=n, r=r, v=v) for n in n_values]
     rows = []
-    for n in n_values:
-        params = HardFamilyParams(n=n, r=r, v=v)
+    for params in families:
         result = bisect_largest_m(params, tolerance=tolerance)
         rows.append(
             LmiSweepRow(
-                n=n,
+                n=params.n,
                 r=r,
                 v=v,
                 largest_m=result.largest_feasible_m,

@@ -9,28 +9,29 @@ siblings and P > 0" is convexified by Q = P^-1, Y = K Q: for i in {1, 2}
 with K = Y Q^-1 and P = Q^-1 recovered from any solution.  Feasibility is
 decided on the margin problem
 
-    maximize t  subject to  M1 - t I >= 0,  M2 - t I >= 0,  Q - t I >= 0,
-    trace(Q) = n,
+    maximize t  subject to  M1 - t I >= 0,  M2 - t I >= 0,  trace(Q) = n,
 
 by infeasible-start primal-dual path following (HKM direction, Mehrotra
-predictor-corrector).  Certificates for this family are intrinsically ill
+predictor-corrector).  Q - t I is the leading n x n block of each M_i - t I,
+so M_i >= t I implies Q >= t I, and the solver carries only the pair as one
+(2, 2n, 2n) stack.  Certificates for this family are intrinsically ill
 conditioned (their conditioning grows geometrically with n), so the solver
 works in congruence-transformed coordinates that make a start point the
 identity, and re-preconditions between rounds; every returned certificate
-is re-verified in the original variables by direct substitution.  A probe
-is "feasible" when a certificate verifies, "infeasible" when the duality gap
-closes first, and "inconclusive" when the iteration cap or a numerical
-breakdown comes first.
+is re-verified in the original variables by direct substitution of all
+three blocks.  A probe is "feasible" when a certificate verifies,
+"infeasible" when the duality gap closes first, and "inconclusive" when the
+iteration cap or a numerical breakdown comes first.
 
 bisect_largest_m's bracket starts at [0, theorem_m] and first widens
 around (2 / (r - 1)) * HardFamilyParams.scale, where the boundary is
 measured to lie, then bisects; the sweep's ``iterations`` column counts its
 probes after m = 0.
 
-CostabLmiProblem.blocks is the one statement of the block layout.  The
-blocks are linear in (Q, Y), so the solver's derivative basis is those
-blocks evaluated at unit vectors, and the solver and the substitution check
-read the same problem.
+CostabLmiProblem.blocks is the one statement of the block layout: it
+builds the pair, which the solver reads directly and the substitution check
+reads together with Q.  The pair is linear in (Q, Y), so the solver's
+derivative basis is the pair evaluated at unit vectors.
 """
 
 from __future__ import annotations
@@ -77,11 +78,11 @@ class CostabLmiProblem:
     def n(self) -> int:
         return self.a.shape[0]
 
-    def blocks(self, q: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
-        """The three symmetric blocks [M1, M2, Q] evaluated at (Q, Y), each a
-        fresh array: M_i = [[Q, (A Q + B_i Y)'], [A Q + B_i Y, Q]].  Q may be
-        a stack (..., n, n) with Y (..., 1, n); each block is then the stack
-        of the elements' blocks."""
+    def blocks(self, q: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The pair [M1, M2] evaluated at (Q, Y), one fresh (2, 2n, 2n)
+        array: M_i = [[Q, (A Q + B_i Y)'], [A Q + B_i Y, Q]], so the third
+        block, Q, leads each M_i.  Q may be a stack (..., n, n) with Y
+        (..., 1, n); the pair is then (2, ..., 2n, 2n)."""
         n = self.n
         q = np.asarray(q, dtype=float)
         y = np.asarray(y, dtype=float).reshape(q.shape[:-2] + (1, n))
@@ -91,7 +92,7 @@ class CostabLmiProblem:
         pair[0, ..., n:, :n] = aq + self.b1 @ y
         pair[1, ..., n:, :n] = aq + self.b2 @ y
         pair[..., :n, n:] = np.swapaxes(pair[..., n:, :n], -1, -2)
-        return [pair[0], pair[1], q.copy()]
+        return pair
 
     def balance(self) -> np.ndarray:
         """Diagonal scaling d_j = (v/r)^(n-j) that equalizes the family's
@@ -174,13 +175,13 @@ def _verify_certificate(
 ) -> Optional[LmiCertificate]:
     """Direct-substitution check in the original variables.
 
-    Schur blocks must be positive beyond the eigenvalue noise floor, and the
-    recovered (K, P) must satisfy the strict pair inequalities: P and both
-    Lyapunov decrements with margin at least _SUBSTITUTION_MARGIN, both
-    closed loops with spectral radius below 1.  These checks verify the
-    (K, P) that the certificate reports; the margin moves no bisection
-    boundary.  Feasibility is invariant under (Q, Y) -> (aQ, aY), so the
-    certificate is normalized to trace(Q) = n first.
+    The Schur blocks M1, M2 and Q must be positive beyond the eigenvalue
+    noise floor, and the recovered (K, P) must satisfy the strict pair
+    inequalities: P and both Lyapunov decrements with margin at least
+    _SUBSTITUTION_MARGIN, both closed loops with spectral radius below 1.
+    These checks verify the (K, P) that the certificate reports; the margin
+    moves no bisection boundary.  Feasibility is invariant under
+    (Q, Y) -> (aQ, aY), so the certificate is normalized to trace(Q) = n first.
     """
     q = 0.5 * (q + q.T)
     scale = problem.n / float(np.trace(q))
@@ -188,9 +189,8 @@ def _verify_certificate(
         return None
     q = scale * q
     y = scale * np.asarray(y, dtype=float)
-    blocks = problem.blocks(q, y)
     schur_margin = math.inf
-    for block in blocks:
+    for block in (*problem.blocks(q, y), q):
         lam_min = float(np.linalg.eigvalsh(block)[0])
         floor = 50.0 * _EPS * max(1.0, float(np.linalg.norm(block, 2)))
         if lam_min <= floor:
@@ -230,9 +230,10 @@ class _SolverFrame:
     """The solver's coordinate frame: the margin problem in
     congruence-transformed coordinates.
 
-    Variables are x = (svec(Q), Y) with trace(Q) = n fixed; the three blocks
-    are linear in x, with no constant term.  ``transform`` maps solver
-    coordinates back to the original ones: Q_orig = T Q T', Y_orig = Y T'.
+    Variables are x = (svec(Q), Y) with trace(Q) = n fixed; the pair
+    (M1, M2), all that the solver carries, is linear in x, with no constant
+    term.  ``transform`` maps solver coordinates back to the original ones:
+    Q_orig = T Q T', Y_orig = Y T'.
 
     The start is Q = I in coordinates set by the warm start (Q_w, Y_w):
     T = chol(sym(Q_w)), Y = Y_w T^-T.  Without one, or if that factor or its
@@ -278,16 +279,17 @@ class _SolverFrame:
         self._build_basis()
 
     def _build_basis(self):
-        """basis[i][j] is the derivative of the slack block F_i(x) - t I along
+        """basis[i, j] is the derivative of the slack block M_i(x) - t I along
         coordinate j of y = (z, t), where x = start + plane @ z: dim - 1
-        directions in the plane, then t.  F is linear in x, so its
-        derivative along coordinate a of x is F at the unit vector e_a."""
+        directions in the plane, then t.  The pair is linear in x, so its
+        derivative along coordinate a of x is the pair at the unit vector
+        e_a."""
         tensors = self.scaled.blocks(*self.unpack(np.eye(self.dim)))
-        self.basis = [
-            np.concatenate([np.tensordot(self.plane.T, g, axes=1), -np.eye(g.shape[1])[None]])
-            for g in tensors
-        ]
-        self.basis_flat = [g.reshape(self.dim, -1) for g in self.basis]
+        in_plane = np.moveaxis(np.tensordot(self.plane, tensors, axes=(0, 1)), 0, 1)
+        along_t = np.broadcast_to(-np.eye(2 * self.n), tensors[:, :1].shape)
+        self.basis = np.concatenate([in_plane, along_t], axis=1)
+        # row j holds both blocks of coordinate j
+        self.basis_flat = np.moveaxis(self.basis, 0, 1).reshape(self.dim, -1)
 
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(Q, Y) of x, or of each row of a stack x (..., dim) as (..., n, n)
@@ -299,7 +301,7 @@ class _SolverFrame:
         y = x[..., self.q_dim :].reshape(stack + (1, self.n))
         return q, y
 
-    def blocks(self, x: np.ndarray) -> list[np.ndarray]:
+    def blocks(self, x: np.ndarray) -> np.ndarray:
         return self.scaled.blocks(*self.unpack(x))
 
     def to_original(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -320,9 +322,14 @@ class _Round(NamedTuple):
     iterations: int
 
 
+def _transpose(stack: np.ndarray) -> np.ndarray:
+    return np.swapaxes(stack, -1, -2)
+
+
 def _max_step(factor_inv: np.ndarray, step: np.ndarray) -> float:
-    """Largest alpha with L L' + alpha * step >= 0, given L^-1."""
-    lam = float(np.linalg.eigvalsh(factor_inv @ step @ factor_inv.T)[0])
+    """Largest alpha with L L' + alpha * step >= 0 for every block of the
+    stack, given the stack of L^-1."""
+    lam = float(np.linalg.eigvalsh(factor_inv @ step @ _transpose(factor_inv))[:, 0].min())
     return math.inf if lam >= 0 else -1.0 / lam
 
 
@@ -330,37 +337,37 @@ def _path_follow(problem: CostabLmiProblem, frame: _SolverFrame) -> _Round:
     """One round of infeasible-start primal-dual path following on the
     margin problem in the frame's coordinates.
 
-    The dual iterate is y = (z, t) with x = start + plane @ z and slack
-    S = F(x) - t I, rebuilt from (x, t) at every iterate, so the dual
-    residual stays zero; it starts at t = lambda_min(F(start)) - 1.  The
-    primal iterate X, one block per slack block, starts at I / N (N the
-    total order), off its equality constraints; its steps restore them.
-    Each iteration takes the HKM direction (Helmberg, Rendl, Vanderbei and
-    Wolkowicz 1996) with a Mehrotra predictor-corrector step; X and y each
-    move _STEP_FRACTION of their largest step inside the cone.
+    The cone is the pair (M1, M2) alone, as (2, 2n, 2n) stacks of barrier
+    order 4n: Q - t I is a principal block of each M_i - t I, so Q >= t I is
+    implied.  The dual iterate is y = (z, t) with x = start + plane @ z and
+    slack S = M(x) - t I, rebuilt from (x, t) at every iterate, so the dual
+    residual stays zero; it starts at t = lambda_min(M(start)) - 1.  The
+    primal iterate X starts at I / 4n, off its equality constraints; its
+    steps restore them.  Each iteration takes the HKM direction (Helmberg,
+    Rendl, Vanderbei and Wolkowicz 1996) with a Mehrotra predictor-corrector
+    step; X and y each move _STEP_FRACTION of their largest step inside the
+    cone.
 
-    Every iterate with t > 0 is checked by substitution.  The round ends at
-    the first verified certificate, once the duality gap <X, S> is at most
-    _GAP_CLOSED, when X or S loses its Cholesky factor (breakdown), or after
-    _MAX_ITERATIONS iterations."""
+    Every iterate with t > 0 is checked by substitution of all three blocks.
+    The round ends at the first verified certificate, once the duality gap
+    <X, S> is at most _GAP_CLOSED, when X or S loses its Cholesky factor
+    (breakdown), or after _MAX_ITERATIONS iterations."""
     x = frame.start
-    t = min(float(np.linalg.eigvalsh(m)[0]) for m in frame.blocks(x)) - 1.0
-    order = sum(basis.shape[1] for basis in frame.basis)
-    xs = [np.eye(basis.shape[1]) / order for basis in frame.basis]
+    t = float(np.linalg.eigvalsh(frame.blocks(x))[:, 0].min()) - 1.0
+    order = 4 * frame.n
+    xs = np.tile(np.eye(2 * frame.n) / order, (2, 1, 1))
     target = np.zeros(frame.dim)  # the objective t
     target[-1] = 1.0
     gap = math.nan
     iterations = 0
     while True:
-        ss = frame.blocks(x)
-        for s in ss:
-            s.reshape(-1)[:: s.shape[0] + 1] -= t
+        ss = frame.blocks(x) - t * np.eye(2 * frame.n)
         try:
-            x_factors = [np.linalg.cholesky(m) for m in xs]
-            s_inv = [np.linalg.inv(np.linalg.cholesky(m)) for m in ss]
+            x_factor = np.linalg.cholesky(xs)
+            s_inv = np.linalg.inv(np.linalg.cholesky(ss))
         except np.linalg.LinAlgError:
             return _Round(None, x, t, gap, iterations)
-        gap = sum(float(np.vdot(xm, s)) for xm, s in zip(xs, ss))
+        gap = float(np.vdot(xs, ss))
         if t > 0:
             certificate = _verify_certificate(problem, *frame.to_original(x))
             if certificate is not None:
@@ -371,16 +378,15 @@ def _path_follow(problem: CostabLmiProblem, frame: _SolverFrame) -> _Round:
             return _Round(None, x, t, gap, iterations)
         iterations += 1
 
-        x_inv = [np.linalg.inv(lx) for lx in x_factors]
-        zs = [si.T @ si for si in s_inv]  # S^-1
-        # Schur complement <D_i, X D_j S^-1> = <U_i, U_j>, U_i = Lx' D_i Ls^-T.
-        # Its conditioning grows like 1/gap^2 on these degenerate problems, and
-        # a plain Cholesky factor fails near gap 1e-7; a ridge of 1e-15 of its
-        # trace keeps it until the gap nears 1e-13.
-        schur = np.zeros((frame.dim, frame.dim))
-        for basis, lx, si in zip(frame.basis, x_factors, s_inv):
-            u = (lx.T @ basis @ si.T).reshape(frame.dim, -1)
-            schur += u @ u.T
+        x_inv = np.linalg.inv(x_factor)
+        zs = _transpose(s_inv) @ s_inv  # S^-1
+        # Schur complement <D_j, X D_k S^-1> = sum_i <U_ij, U_ik>, U_ij =
+        # Lx_i' D_ij Ls_i^-T.  Its conditioning grows like 1/gap^2 on these
+        # degenerate problems, and a plain Cholesky factor fails near gap 1e-7;
+        # a ridge of 1e-15 of its trace keeps it until the gap nears 1e-13.
+        u = _transpose(x_factor)[:, None] @ frame.basis @ _transpose(s_inv)[:, None]
+        u = u.reshape(2, frame.dim, -1)
+        schur = (u @ _transpose(u)).sum(axis=0)
         schur.reshape(-1)[:: frame.dim + 1] += _RIDGE * np.trace(schur)
         try:
             factor = np.linalg.cholesky(schur)
@@ -391,35 +397,26 @@ def _path_follow(problem: CostabLmiProblem, frame: _SolverFrame) -> _Round:
             """HKM direction: dS = sum dy_j D_j, and dX the symmetric part of
             centre S^-1 - X - (X dS + second) S^-1."""
             dy = np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
-            ds = [(dy @ flat).reshape(z.shape) for flat, z in zip(frame.basis_flat, zs)]
-            dx = []
-            for xm, d, z, c in zip(xs, ds, zs, second):
-                w = centre * z - xm - (xm @ d + c) @ z
-                dx.append(0.5 * (w + w.T))
-            return dy, dx, ds
+            ds = (dy @ frame.basis_flat).reshape(zs.shape)
+            w = centre * zs - xs - (xs @ ds + second) @ zs
+            return dy, 0.5 * (w + _transpose(w)), ds
 
         def steps(dx, ds, fraction):
-            primal = min(_max_step(xi, d) for xi, d in zip(x_inv, dx))
-            dual = min(_max_step(si, d) for si, d in zip(s_inv, ds))
+            primal = _max_step(x_inv, dx)
+            dual = _max_step(s_inv, ds)
             return min(1.0, fraction * primal), min(1.0, fraction * dual)
 
-        def pairing(ws):
-            """(sum over the blocks i of <D_ij, W_i>) for each coordinate j."""
-            return sum(flat @ w.ravel() for flat, w in zip(frame.basis_flat, ws))
-
         mu = gap / order
-        _, dx, ds = direction(target, 0.0, [0.0] * len(xs))
+        _, dx, ds = direction(target, 0.0, 0.0)
         alpha_x, alpha_s = steps(dx, ds, 1.0)
-        mu_affine = sum(
-            float(np.vdot(xm + alpha_x * a, s + alpha_s * b))
-            for xm, a, s, b in zip(xs, dx, ss, ds)
-        ) / order
+        mu_affine = float(np.vdot(xs + alpha_x * dx, ss + alpha_s * ds)) / order
         sigma = min(1.0, (mu_affine / mu) ** 3)
-        second = [a @ b for a, b in zip(dx, ds)]
-        rhs = target + sigma * mu * pairing(zs) - pairing([c @ z for c, z in zip(second, zs)])
+        second = dx @ ds
+        # basis_flat @ W.ravel() is sum_i <D_ij, W_i> for each coordinate j
+        rhs = target + frame.basis_flat @ (sigma * mu * zs - second @ zs).ravel()
         dy, dx, ds = direction(rhs, sigma * mu, second)
         alpha_x, alpha_s = steps(dx, ds, _STEP_FRACTION)
-        xs = [xm + alpha_x * a for xm, a in zip(xs, dx)]
+        xs = xs + alpha_x * dx
         x = x + alpha_s * (frame.plane @ dy[:-1])
         t += alpha_s * dy[-1]
 
@@ -430,17 +427,17 @@ def check_feasible(
     """Decide strict feasibility of the convexified pair problem.
 
     Returns a verified LmiCertificate or an InfeasibleReport.  Each round
-    runs _path_follow on the margin problem (maximize t with M1, M2 and Q
-    all >= t I on the trace(Q) = n plane).  A round without a certificate
-    is followed by one in coordinates re-centred on its last iterate, whose
-    Q becomes the identity, while that Q is positive definite and fewer
-    than _MAX_ROUNDS rounds have run, unless its gap closed in warm
-    coordinates.  The balanced cold start is a guess that fits large n
-    badly: at m = 0, n = 11 the cold round closes at t ~ -4e-11 and the
+    runs _path_follow on the margin problem (maximize t with M1, M2 >= t I,
+    which implies Q >= t I, on the trace(Q) = n plane).  A round without a
+    certificate is followed by one in coordinates re-centred on its last
+    iterate, whose Q becomes the identity, while that Q is positive definite
+    and fewer than _MAX_ROUNDS rounds have run, unless its gap closed in
+    warm coordinates.  The balanced cold start is a guess that fits large n
+    badly: at m = 0, n = 11 the cold round closes at t ~ -7e-11 and the
     next verifies at t ~ 0.07.
 
-    "feasible": a certificate passed _verify_certificate, whose
-    substitution margin is fixed (_SUBSTITUTION_MARGIN).
+    "feasible": a certificate passed _verify_certificate, which checks M1,
+    M2 and Q with a fixed substitution margin (_SUBSTITUTION_MARGIN).
     "infeasible": a round's duality gap closed with no certificate verified,
     so the largest margin in its coordinates is t to within the gap.  That
     t is mostly a numerical zero (about -1e-10).  Next to the boundary it

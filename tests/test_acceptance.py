@@ -314,6 +314,23 @@ def test_criterion_08_slope_matches_ceiling_scaling(lmi_sweep_results):
     )
 
 
+@pytest.mark.slow
+def test_lmi_sweep_rows_meet_their_closed_form(lmi_sweep_results):
+    # the LMI boundary is 2 v^n / (r^(n-1) (r - 1)), and at n = 2..6 the
+    # bisection's feasible end lies within its 1e-3 tolerance below it, at
+    # every v of the sweep
+    results, _ = lmi_sweep_results
+    ratios = {}
+    for v, rows in results.items():
+        for row in rows:
+            if row.n <= 6:
+                closed_form = 2 * v**row.n / (row.r ** (row.n - 1) * (row.r - 1))
+                ratios[row.n, v] = closed_form / row.largest_m
+    assert sorted(ratios) == [(n, v) for n in range(2, 7) for v in (1.01, 1.05, 1.09)]
+    outside = {key: ratio for key, ratio in ratios.items() if not 1.0 < ratio <= 1.002}
+    assert not outside, outside
+
+
 @pytest.fixture(scope="module")
 def ce_lqr_outcome():
     config = CeLqrConfig(n_values=(2, 3, 4, 5, 6, 7, 8), seed=ACCEPT_SEED)

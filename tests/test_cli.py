@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardstab import cli
+from hardstab import cli, experiments
 from hardstab.cli import main, read_config
 from hardstab.lmi import InfeasibleReport
 from hardstab.numerics import DareError
@@ -292,6 +292,24 @@ class TestUsageErrors:
             main(argv)
         assert exit_info.value.code == 2
         assert f"hardstab: error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, row_runner",
+        [
+            (["exp-lmi-sweep", "--n-values", "10,1"], "bisect_largest_m"),
+            (["exp-ce-lqr", "--n-values", "8,1"], "_run_ce_lqr_single"),
+        ],
+    )
+    def test_bad_dimension_exits_before_the_first_row(self, capsys, monkeypatch, argv, row_runner):
+        # every row's family is checked first, so a bad n late in the list
+        # costs no row's work
+        calls = []
+        monkeypatch.setattr(experiments, row_runner, lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "hardstab: error: dimension must be >= 2, got 1" in capsys.readouterr().err
+        assert calls == []
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -16,22 +16,21 @@ SEED2 = 2.0 / (PARAMS2.r - 1.0) * PARAMS2.scale
 
 @pytest.fixture(scope="module")
 def golden_runs():
-    """The v = 1.01 sweep's bisections at n = 2, 3 and 4, run once, each with
-    the path-following iterations its probes reported."""
+    """The v = 1.01 sweep's bisections at n = 2..6, run once, each with the
+    (problem, outcome) of every probe it made."""
     runs = {}
-    reported = []
 
-    def counted(*args, **kwargs):
-        outcome = check_feasible(*args, **kwargs)
-        reported.append(outcome.iterations)
+    def recorded(problem, **kwargs):
+        outcome = check_feasible(problem, **kwargs)
+        probes.append((problem, outcome))
         return outcome
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lmi, "check_feasible", counted)
-        for n in (2, 3, 4):
-            reported.clear()
+        patch.setattr(lmi, "check_feasible", recorded)
+        for n in range(2, 7):
+            probes = []
             result = bisect_largest_m(HardFamilyParams(n=n, r=3.2, v=1.01), tolerance=1e-3)
-            runs[n] = (result, sum(reported))
+            runs[n] = (result, probes)
     return runs
 
 
@@ -56,7 +55,7 @@ def assert_certificate_sound(problem, cert, tolerance):
         decrement = closed.T @ p @ closed - p
         assert np.linalg.eigvalsh(decrement)[-1] <= -tolerance / 2
         assert np.max(np.abs(np.linalg.eigvals(closed))) < 1.0
-    for block in problem.blocks(cert.q, cert.y):
+    for block in (*problem.blocks(cert.q, cert.y), cert.q):
         assert np.linalg.eigvalsh(block)[0] > 0
 
 
@@ -65,8 +64,7 @@ class TestProblemConstruction:
         problem = build_costab_lmi(make_hard_pair(PARAMS2, 0.1))
         q = np.eye(2)
         y = np.zeros((1, 2))
-        blocks = problem.blocks(q, y)
-        assert [b.shape for b in blocks] == [(4, 4), (4, 4), (2, 2)]
+        assert problem.blocks(q, y).shape == (2, 4, 4)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("m", [0.0, 0.1])
@@ -77,30 +75,55 @@ class TestProblemConstruction:
         q = g + g.T
         y = rng.standard_normal((1, n))
         q_before, y_before = q.copy(), y.copy()
-        blocks = problem.blocks(q, y)
-        for block, b in zip(blocks, (problem.b1, problem.b2)):
+        pair = problem.blocks(q, y)
+        assert pair.shape == (2, 2 * n, 2 * n)
+        for block, b in zip(pair, (problem.b1, problem.b2), strict=True):
             off = problem.a @ q + b @ y
             np.testing.assert_array_equal(block, np.block([[q, off.T], [off, q]]))
-        np.testing.assert_array_equal(blocks[2], q)
-        # the blocks share no memory with each other or with (Q, Y)
-        expected = [block.copy() for block in blocks]
-        for i, block in enumerate(blocks):
-            block += 1.0
-            for j, other in enumerate(blocks):
-                if j != i:
-                    np.testing.assert_array_equal(other, expected[j])
-            np.testing.assert_array_equal(q, q_before)
-            np.testing.assert_array_equal(y, y_before)
-            block[...] = expected[i]
-        # a (2, 3) stack of (Q, Y) gives each element's blocks, bit for bit
+            # Q, the third block of the problem, leads each of the pair
+            np.testing.assert_array_equal(block[:n, :n], q)
+        # the pair is a fresh array, sharing no memory with (Q, Y)
+        pair += 1.0
+        np.testing.assert_array_equal(q, q_before)
+        np.testing.assert_array_equal(y, y_before)
+        # a (2, 3) stack of (Q, Y) gives each element's pair, bit for bit
         g = rng.standard_normal((2, 3, n, n))
         qs = g + np.swapaxes(g, -1, -2)
         ys = rng.standard_normal((2, 3, 1, n))
         stacked = problem.blocks(qs, ys)
-        assert [block.shape for block in stacked] == [(2, 3, 2 * n, 2 * n)] * 2 + [(2, 3, n, n)]
+        assert stacked.shape == (2, 2, 3, 2 * n, 2 * n)
         for index in np.ndindex(2, 3):
-            for block, alone in zip(stacked, problem.blocks(qs[index], ys[index])):
-                np.testing.assert_array_equal(block[index], alone)
+            alone = problem.blocks(qs[index], ys[index])
+            np.testing.assert_array_equal(stacked[(slice(None),) + index], alone)
+
+    def test_q_block_is_implied_by_the_pair(self):
+        # Q - t I is the leading n x n principal block of each M_i - t I, so
+        # by Cauchy interlacing its least eigenvalue is at least the pair's;
+        # this is why the solver's cone carries M1 and M2 only
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+        @hypothesis.given(
+            st.integers(2, 8),
+            st.floats(0.0, 1.0),
+            st.integers(0, 2**32 - 1),
+            st.floats(-10.0, 10.0),
+        )
+        def check(n, share, seed, t):
+            params = HardFamilyParams(n=n, r=3.2, v=1.01)
+            problem = build_costab_lmi(make_hard_pair(params, share * params.theorem_m))
+            frame = lmi._SolverFrame(problem)
+            z = np.random.default_rng(seed).standard_normal(frame.dim - 1)
+            x = frame.start + frame.plane @ z
+            q = frame.unpack(x)[0]
+            pair = frame.blocks(x) - t * np.eye(2 * n)
+            np.testing.assert_array_equal(pair[:, :n, :n], [q - t * np.eye(n)] * 2)
+            q_least = np.linalg.eigvalsh(q - t * np.eye(n))[0]
+            pair_least = np.linalg.eigvalsh(pair)[:, 0].min()
+            assert q_least >= pair_least - 1e-12 * max(1.0, np.abs(pair).max())
+
+        check()
 
     def test_duplicate_blocks_at_m_zero(self):
         problem = build_costab_lmi(make_hard_pair(PARAMS2, 0.0))
@@ -121,10 +144,11 @@ class TestSolverFrame:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("warm", [False, True])
     def test_basis_is_the_derivative_of_the_slack_blocks(self, n, warm):
-        # the blocks are linear in x = (svec Q, Y), so at y = (z, t) the slack
-        # blocks F(start + plane @ z) - t I are F(start) + sum_j y_j basis[j];
-        # Q is rebuilt from svec (upper triangle, row by row) here, apart
-        # from the frame's unpack
+        # the pair is linear in x = (svec Q, Y), so at y = (z, t) each slack
+        # block M_i(start + plane @ z) - t I is M_i(start) + sum_j y_j
+        # basis[i, j]; Q is rebuilt from svec (upper triangle, row by row)
+        # here, apart from the frame's unpack, and a basis with a block
+        # missing or extra fails the strict zip
         problem = build_costab_lmi(make_hard_pair(HardFamilyParams(n=n, r=3.2, v=1.01), 1e-3))
         certificate = check_feasible(problem) if warm else None
         frame = lmi._SolverFrame(problem, certificate and (certificate.q, certificate.y))
@@ -135,16 +159,17 @@ class TestSolverFrame:
             q = np.zeros((n, n))
             q[rows, cols] = x[: rows.size]
             q += np.triu(q, 1).T
-            blocks = frame.scaled.blocks(q, x[rows.size :].reshape(1, n))
-            return [block - t * np.eye(len(block)) for block in blocks]
+            return frame.scaled.blocks(q, x[rows.size :].reshape(1, n)) - t * np.eye(2 * n)
 
+        assert frame.basis.shape == (2, frame.dim, 2 * n, 2 * n)
         rng = np.random.default_rng(10 * n + warm)
         for _ in range(3):
             y = rng.standard_normal(frame.dim)
             expected = slack_blocks(frame.start + frame.plane @ y[:-1], y[-1])
-            for block, at_start, basis in zip(expected, slack_blocks(frame.start, 0.0), frame.basis):
+            at_start = slack_blocks(frame.start, 0.0)
+            for block, start_block, basis in zip(expected, at_start, frame.basis, strict=True):
                 np.testing.assert_allclose(
-                    at_start + np.tensordot(y, basis, axes=1),
+                    start_block + np.tensordot(y, basis, axes=1),
                     block,
                     rtol=0,
                     atol=1e-12 * np.abs(block).max(),
@@ -180,7 +205,7 @@ class TestCheckFeasible:
         assert cert.feasible
 
     def test_re_preconditioning_round_certifies_n11(self, monkeypatch):
-        # the cold round alone closes its gap at t ~ -4e-11; the round
+        # the cold round alone closes its gap at t ~ -7e-11; the round
         # re-centred on its last iterate certifies at t ~ 0.07
         params = HardFamilyParams(n=11, r=3.2, v=1.01)
         monkeypatch.setattr(lmi, "_MAX_ROUNDS", 1)
@@ -293,8 +318,25 @@ class TestBisection:
     def test_path_following_work(self, golden_runs):
         # the n = 2 bisection's 4 probes (m = 0 included) report 36
         # path-following iterations in all
-        _, iterations = golden_runs[2]
-        assert iterations <= 120
+        _, probes = golden_runs[2]
+        assert sum(outcome.iterations for _, outcome in probes) <= 120
+
+    def test_every_certificate_passes_all_three_blocks(self, golden_runs):
+        # the solver carries M1 and M2 only; every certificate it returns
+        # still has M1, M2 and Q positive beyond the verifier's floor in the
+        # original variables, and passes the verifier again
+        certified = 0
+        for result, probes in golden_runs.values():
+            for problem, outcome in probes:
+                if not outcome.feasible:
+                    continue
+                certified += 1
+                for block in (*problem.blocks(outcome.q, outcome.y), outcome.q):
+                    floor = 50.0 * lmi._EPS * max(1.0, np.linalg.norm(block, 2))
+                    assert np.linalg.eigvalsh(block)[0] > floor
+                assert lmi._verify_certificate(problem, outcome.q, outcome.y) is not None
+        # m = 0 and the first widening probe of each of the five bisections
+        assert certified >= 10
 
     def test_n2_boundary(self, golden_bisections):
         result = golden_bisections[2]
