@@ -34,8 +34,8 @@ class KlReport:
     m: float
     sigma_u2: float
     sigma_w2: float
-    trials: int = 0
-    seed: int = 0
+    trials: int
+    seed: int
 
     CSV_HEADER = "horizon,m,sigma_u2,sigma_w2,analytic,mc,mc_se,trials,seed"
 

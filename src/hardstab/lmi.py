@@ -28,10 +28,13 @@ around (2 / (r - 1)) * HardFamilyParams.scale, where the boundary is
 measured to lie, then bisects; the sweep's ``iterations`` column counts its
 probes after m = 0.
 
-CostabLmiProblem.blocks is the one statement of the block layout: it
-builds the pair, which the solver reads directly and the substitution check
-reads together with Q.  The pair is linear in (Q, Y), so the solver's
-derivative basis is the pair evaluated at unit vectors.
+The solver takes the HardPair itself: A and the two input columns come
+from its siblings s1 and s2, and the cold start reads its
+HardFamilyParams.  costab_blocks is the one statement of the block layout:
+it builds the pair [M1, M2] from (A, B1, B2, Q, Y); the substitution check
+calls it with the HardPair's matrices and reads Q besides, the solver with
+its congruence-transformed ones.  The pair is linear in (Q, Y), so the
+solver's derivative basis is the pair evaluated at unit vectors.
 """
 
 from __future__ import annotations
@@ -65,44 +68,23 @@ _MAX_PROBES = 200
 _SUBSTITUTION_MARGIN = 5e-7
 
 
-@dataclass(frozen=True)
-class CostabLmiProblem:
-    """Block data of the convexified pair-feasibility problem."""
-
-    a: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
-    params: HardFamilyParams
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
-    def blocks(self, q: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The pair [M1, M2] evaluated at (Q, Y), one fresh (2, 2n, 2n)
-        array: M_i = [[Q, (A Q + B_i Y)'], [A Q + B_i Y, Q]], so the third
-        block, Q, leads each M_i.  Q may be a stack (..., n, n) with Y
-        (..., 1, n); the pair is then (2, ..., 2n, 2n)."""
-        n = self.n
-        q = np.asarray(q, dtype=float)
-        y = np.asarray(y, dtype=float).reshape(q.shape[:-2] + (1, n))
-        aq = self.a @ q
-        pair = np.empty((2,) + q.shape[:-2] + (2 * n, 2 * n))
-        pair[..., :n, :n] = pair[..., n:, n:] = q
-        pair[0, ..., n:, :n] = aq + self.b1 @ y
-        pair[1, ..., n:, :n] = aq + self.b2 @ y
-        pair[..., :n, n:] = np.swapaxes(pair[..., n:, :n], -1, -2)
-        return pair
-
-    def balance(self) -> np.ndarray:
-        """Diagonal scaling d_j = (v/r)^(n-j) that equalizes the family's
-        gain ladder; used as the cold-start preconditioner."""
-        p = self.params
-        return (p.v / p.r) ** (p.n - np.arange(1, p.n + 1, dtype=float))
-
-
-def build_costab_lmi(pair: HardPair) -> CostabLmiProblem:
-    return CostabLmiProblem(a=pair.s1.a, b1=pair.s1.b, b2=pair.s2.b, params=pair.params)
+def costab_blocks(
+    a: np.ndarray, b1: np.ndarray, b2: np.ndarray, q: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """The pair [M1, M2] of the siblings (A, B1), (A, B2) evaluated at
+    (Q, Y), one fresh (2, 2n, 2n) array: M_i = [[Q, (A Q + B_i Y)'],
+    [A Q + B_i Y, Q]], so the third block, Q, leads each M_i.  Q may be a
+    stack (..., n, n) with Y (..., 1, n); the pair is then (2, ..., 2n, 2n)."""
+    n = a.shape[0]
+    q = np.asarray(q, dtype=float)
+    y = np.asarray(y, dtype=float).reshape(q.shape[:-2] + (1, n))
+    aq = a @ q
+    pair = np.empty((2,) + q.shape[:-2] + (2 * n, 2 * n))
+    pair[..., :n, :n] = pair[..., n:, n:] = q
+    pair[0, ..., n:, :n] = aq + b1 @ y
+    pair[1, ..., n:, :n] = aq + b2 @ y
+    pair[..., :n, n:] = np.swapaxes(pair[..., n:, :n], -1, -2)
+    return pair
 
 
 @dataclass(frozen=True)
@@ -170,9 +152,7 @@ class BisectionResult:
         return "conservative" if self.conservative else "ok"
 
 
-def _verify_certificate(
-    problem: CostabLmiProblem, q: np.ndarray, y: np.ndarray
-) -> Optional[LmiCertificate]:
+def _verify_certificate(pair: HardPair, q: np.ndarray, y: np.ndarray) -> Optional[LmiCertificate]:
     """Direct-substitution check in the original variables.
 
     The Schur blocks M1, M2 and Q must be positive beyond the eigenvalue
@@ -183,16 +163,19 @@ def _verify_certificate(
     moves no bisection boundary.  Feasibility is invariant under
     (Q, Y) -> (aQ, aY), so the certificate is normalized to trace(Q) = n first.
     """
+    a, b1, b2 = pair.s1.a, pair.s1.b, pair.s2.b
     q = 0.5 * (q + q.T)
-    scale = problem.n / float(np.trace(q))
+    scale = pair.params.n / float(np.trace(q))
     if not np.isfinite(scale) or scale <= 0:
         return None
     q = scale * q
     y = scale * np.asarray(y, dtype=float)
     schur_margin = math.inf
-    for block in (*problem.blocks(q, y), q):
-        lam_min = float(np.linalg.eigvalsh(block)[0])
-        floor = 50.0 * _EPS * max(1.0, float(np.linalg.norm(block, 2)))
+    for block in (*costab_blocks(a, b1, b2, q, y), q):
+        lam = np.linalg.eigvalsh(block)
+        lam_min = float(lam[0])
+        # the 2-norm of a symmetric block is max(-lam_min, lam_max)
+        floor = 50.0 * _EPS * max(1.0, -lam_min, float(lam[-1]))
         if lam_min <= floor:
             return None
         schur_margin = min(schur_margin, lam_min)
@@ -207,8 +190,8 @@ def _verify_certificate(
         return None
     lyapunov = []
     radii = []
-    for b in (problem.b1, problem.b2):
-        closed = problem.a + b @ k_row
+    for b in (b1, b2):
+        closed = a + b @ k_row
         decrement = closed.T @ p @ closed - p
         lyapunov.append(-float(np.linalg.eigvalsh(decrement)[-1]))
         radii.append(spectral_radius(closed))
@@ -228,22 +211,24 @@ def _verify_certificate(
 
 class _SolverFrame:
     """The solver's coordinate frame: the margin problem in
-    congruence-transformed coordinates.
+    congruence-transformed coordinates of a HardPair.
 
     Variables are x = (svec(Q), Y) with trace(Q) = n fixed; the pair
     (M1, M2), all that the solver carries, is linear in x, with no constant
     term.  ``transform`` maps solver coordinates back to the original ones:
-    Q_orig = T Q T', Y_orig = Y T'.
+    Q_orig = T Q T', Y_orig = Y T'; ``a``, ``b1`` and ``b2`` are the
+    siblings' matrices in solver coordinates, T^-1 A T and T^-1 B_i.
 
     The start is Q = I in coordinates set by the warm start (Q_w, Y_w):
     T = chol(sym(Q_w)), Y = Y_w T^-T.  Without one, or if that factor or its
-    inverse fails, the cold start takes T = diag(balance()), which balances
-    the gain ladder, and the uniform balanced deadbeat gain Y = -r/v;
-    ``warm`` says which start was taken.
+    inverse fails, the cold start takes T = diag(HardFamilyParams.balance),
+    which balances the gain ladder, and the uniform balanced deadbeat gain
+    Y = -r/v; ``warm`` says which start was taken.
     """
 
-    def __init__(self, problem: CostabLmiProblem, warm: Optional[tuple] = None):
-        self.n = n = problem.n
+    def __init__(self, pair: HardPair, warm: Optional[tuple] = None):
+        params = pair.params
+        self.n = n = params.n
         transform = None
         if warm is not None:
             q_w, y_w = warm
@@ -255,17 +240,14 @@ class _SolverFrame:
                 transform = None
         self.warm = transform is not None
         if transform is None:
-            transform = np.diag(problem.balance())
+            transform = np.diag(params.balance)
             t_inv = np.linalg.inv(transform)
-            y = np.full(n, -problem.params.r / problem.params.v)
+            y = np.full(n, -params.r / params.v)
         self.transform = transform
-        # the same problem in solver coordinates
-        self.scaled = replace(
-            problem,
-            a=t_inv @ problem.a @ transform,
-            b1=t_inv @ problem.b1,
-            b2=t_inv @ problem.b2,
-        )
+        # the siblings in solver coordinates
+        self.a = t_inv @ pair.s1.a @ transform
+        self.b1 = t_inv @ pair.s1.b
+        self.b2 = t_inv @ pair.s2.b
         # svec(Q) is the upper triangle of Q, row by row
         self.q_rows, self.q_cols = np.triu_indices(n)
         self.q_dim = len(self.q_rows)
@@ -284,7 +266,7 @@ class _SolverFrame:
         directions in the plane, then t.  The pair is linear in x, so its
         derivative along coordinate a of x is the pair at the unit vector
         e_a."""
-        tensors = self.scaled.blocks(*self.unpack(np.eye(self.dim)))
+        tensors = self.blocks(np.eye(self.dim))
         in_plane = np.moveaxis(np.tensordot(self.plane, tensors, axes=(0, 1)), 0, 1)
         along_t = np.broadcast_to(-np.eye(2 * self.n), tensors[:, :1].shape)
         self.basis = np.concatenate([in_plane, along_t], axis=1)
@@ -302,7 +284,7 @@ class _SolverFrame:
         return q, y
 
     def blocks(self, x: np.ndarray) -> np.ndarray:
-        return self.scaled.blocks(*self.unpack(x))
+        return costab_blocks(self.a, self.b1, self.b2, *self.unpack(x))
 
     def to_original(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         q, y = self.unpack(x)
@@ -333,7 +315,7 @@ def _max_step(factor_inv: np.ndarray, step: np.ndarray) -> float:
     return math.inf if lam >= 0 else -1.0 / lam
 
 
-def _path_follow(problem: CostabLmiProblem, frame: _SolverFrame) -> _Round:
+def _path_follow(pair: HardPair, frame: _SolverFrame) -> _Round:
     """One round of infeasible-start primal-dual path following on the
     margin problem in the frame's coordinates.
 
@@ -369,7 +351,7 @@ def _path_follow(problem: CostabLmiProblem, frame: _SolverFrame) -> _Round:
             return _Round(None, x, t, gap, iterations)
         gap = float(np.vdot(xs, ss))
         if t > 0:
-            certificate = _verify_certificate(problem, *frame.to_original(x))
+            certificate = _verify_certificate(pair, *frame.to_original(x))
             if certificate is not None:
                 return _Round(certificate, x, t, gap, iterations)
         if gap <= _GAP_CLOSED:
@@ -422,9 +404,10 @@ def _path_follow(problem: CostabLmiProblem, frame: _SolverFrame) -> _Round:
 
 
 def check_feasible(
-    problem: CostabLmiProblem, *, warm_start: Optional[tuple[np.ndarray, np.ndarray]] = None
+    pair: HardPair, *, warm_start: Optional[tuple[np.ndarray, np.ndarray]] = None
 ) -> LmiCertificate | InfeasibleReport:
-    """Decide strict feasibility of the convexified pair problem.
+    """Decide strict feasibility of the convexified pair problem of a
+    HardPair, optionally warm-started from an earlier certificate's (Q, Y).
 
     Returns a verified LmiCertificate or an InfeasibleReport.  Each round
     runs _path_follow on the margin problem (maximize t with M1, M2 >= t I,
@@ -446,11 +429,11 @@ def check_feasible(
     below the rounding floor.
     "inconclusive": every round hit _MAX_ITERATIONS or broke down first.
     """
-    frame = _SolverFrame(problem, warm_start)
+    frame = _SolverFrame(pair, warm_start)
     iterations = 0
     closed = False
     for _ in range(_MAX_ROUNDS):
-        outcome = _path_follow(problem, frame)
+        outcome = _path_follow(pair, frame)
         iterations += outcome.iterations
         if outcome.certificate is not None:
             return replace(outcome.certificate, iterations=iterations)
@@ -460,7 +443,7 @@ def check_feasible(
                 break
         if np.linalg.eigvalsh(frame.unpack(outcome.x)[0])[0] <= 0:
             break
-        frame = _SolverFrame(problem, frame.to_original(outcome.x))
+        frame = _SolverFrame(pair, frame.to_original(outcome.x))
     return InfeasibleReport(
         best_margin=outcome.t,
         status="infeasible" if closed else "inconclusive",
@@ -510,7 +493,7 @@ def bisect_largest_m(
 
     lo = 0.0
     hi = theorem_m
-    outcome = check_feasible(build_costab_lmi(make_hard_pair(params, 0.0)))
+    outcome = check_feasible(make_hard_pair(params, 0.0))
     if not outcome.feasible:
         return BisectionResult(
             largest_feasible_m=lo,
@@ -532,8 +515,7 @@ def bisect_largest_m(
         was feasible."""
         nonlocal lo, hi, certificate, conservative, iterations
         outcome = check_feasible(
-            build_costab_lmi(make_hard_pair(params, m)),
-            warm_start=(certificate.q, certificate.y),
+            make_hard_pair(params, m), warm_start=(certificate.q, certificate.y)
         )
         iterations += 1
         if outcome.feasible:

@@ -105,14 +105,22 @@ class HardFamilyParams:
 
     @property
     def scale(self) -> float:
-        """v^n / r^(n-1): the congruence T = diag((v/r)^(n-j)) with the input
+        """v^n / r^(n-1): the congruence T = diag(balance) with the input
         scaled by 1/v maps the pair at m to the normalized pair at
         mu = m / scale, so every LMI and co-stabilizability threshold is
         mu*(n, r) * scale.  The LMI boundary measures mu* ~ 2/(r - 1) at
         every n; that is a measured conjecture, not a proven value, and
         bisect_largest_m uses it only as the point its bracket widens from:
-        every verdict still comes from a probe."""
+        every verdict still comes from a probe.  The LMI solver takes the
+        HardPair itself and starts cold in the coordinates T."""
         return self.v**self.n / self.r ** (self.n - 1)
+
+    @property
+    def balance(self) -> np.ndarray:
+        """The diagonal (v/r)^(n-j), j = 1..n, of the congruence T that
+        equalizes the family's gain ladder (see scale); the LMI solver's
+        cold-start preconditioner."""
+        return (self.v / self.r) ** (self.n - np.arange(1, self.n + 1, dtype=float))
 
 
 def hard_matrices(n: int, r: float, v: float, b1) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ import pytest
 from hardstab.bounds import birge_kl_threshold, birge_min_samples, kl_upper_bound
 from hardstab.bounds import kl_monte_carlo
 from hardstab.experiments import CeLqrConfig, run_ce_lqr, run_lmi_sweep
-from hardstab.lmi import build_costab_lmi, check_feasible
+from hardstab.lmi import check_feasible
 from hardstab.numerics import (
     Prng,
     characteristic_polynomial,
@@ -234,8 +234,7 @@ def test_criterion_07_lmi_certificate_soundness():
         params = HardFamilyParams(n=n, r=3.2, v=1.01)
         sup = (2 * params.v / (params.r - 1)) ** n
         for m in (0.0, 0.1 * 0.2888 * (params.v / params.r) ** (n - 2)):
-            problem = build_costab_lmi(make_hard_pair(params, m))
-            cert = check_feasible(problem)
+            cert = check_feasible(make_hard_pair(params, m))
             if not cert.feasible:
                 sound = False
                 details.append(f"n={n} m={m:.2e} unexpectedly infeasible")
@@ -248,7 +247,7 @@ def test_criterion_07_lmi_certificate_soundness():
             if not substitution_ok:
                 sound = False
                 details.append(f"n={n} m={m:.2e} certificate fails substitution")
-        outcome = check_feasible(build_costab_lmi(make_hard_pair(params, 2 * sup)))
+        outcome = check_feasible(make_hard_pair(params, 2 * sup))
         if outcome.feasible:
             sound = False
             details.append(f"n={n} feasible at theorem m")

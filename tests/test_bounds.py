@@ -59,6 +59,11 @@ class TestKlUpperBound:
         with pytest.raises(ValueError, match="m must be finite"):
             kl_upper_bound(10, m, 32.0, 0.005)
 
+    def test_negative_horizon_rejected(self):
+        assert kl_upper_bound(0, 0.1, 32.0, 0.005) == 0.0
+        with pytest.raises(ValueError, match="horizon must be nonnegative"):
+            kl_upper_bound(-1, 0.1, 32.0, 0.005)
+
 
 class TestKlMonteCarlo:
     @pytest.fixture(autouse=True)
@@ -273,6 +278,12 @@ class TestKlMonteCarlo:
         pair = make_hard_pair(PARAMS2, 0.05, noise_variance=0.0)
         with pytest.raises(DegenerateNoiseError):
             kl_monte_carlo(pair, InputPolicy.iid_gaussian(32.0), 10, 200, Prng(1))
+
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_below_one_rejected(self, horizon):
+        pair = make_hard_pair(PARAMS2, 0.05, noise_variance=0.005)
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            kl_monte_carlo(pair, InputPolicy.iid_gaussian(32.0), horizon, 200, Prng(1))
 
     def test_bounded_policy_respects_upper_bound(self):
         pair = make_hard_pair(PARAMS2, 0.05, noise_variance=0.005)

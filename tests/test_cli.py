@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardstab import cli, experiments
+from hardstab import cli, experiments, systems
 from hardstab.cli import main, read_config
 from hardstab.lmi import InfeasibleReport
 from hardstab.numerics import DareError
@@ -101,14 +101,33 @@ class TestSubcommands:
 
         assert strip_wall(out1) == strip_wall(out2)
 
+    @pytest.mark.parametrize("policy", ["zero", "impulse"])
+    def test_simulate_open_loop_policies(self, capsys, tmp_path, policy):
+        # without noise the zero policy stays at rest, and the unit impulse
+        # at t = 0 gives x1 = B, then x2 = A B
+        path = tmp_path / "traj.csv"
+        argv = ["simulate", "--n", "3", "--b1", "0.5", "--sigma-w2", "0", "--horizon", "4"]
+        run_cli(capsys, *argv, "--policy", policy, "--out", str(path))
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert rows[0] == ["t", "u", "x1", "x2", "x3"]
+        states = np.array([[float(x) for x in row[2:]] for row in rows[1:]])
+        sys_ = systems.hard_system(systems.HardFamilyParams(n=3, r=3.2, v=1.01), 0.5)
+        if policy == "zero":
+            np.testing.assert_array_equal(states, np.zeros((5, 3)))
+        else:
+            assert rows[1][1] == "1"
+            np.testing.assert_array_equal(states[0], np.zeros(3))
+            np.testing.assert_array_equal(states[1], sys_.b.ravel())
+            np.testing.assert_array_equal(states[2], (sys_.a @ sys_.b).ravel())
+
     def test_lmi_bisect_reports_status(self, capsys, monkeypatch):
         # the words of the exp-lmi-sweep status column
         assert "status = ok\n" in run_cli(capsys, "lmi-bisect", "--n", "2")
         check = cli.lmi.check_feasible
 
-        def inconclusive_above_zero(problem, *args, **kwargs):
-            if np.array_equal(problem.b1, problem.b2):  # m = 0
-                return check(problem, *args, **kwargs)
+        def inconclusive_above_zero(pair, *args, **kwargs):
+            if pair.m == 0:
+                return check(pair, *args, **kwargs)
             return InfeasibleReport(best_margin=-1.0, status="inconclusive")
 
         monkeypatch.setattr(cli.lmi, "check_feasible", inconclusive_above_zero)
@@ -119,7 +138,7 @@ class TestSubcommands:
 
     def test_uncertified_zero_is_a_sweep_status(self, capsys, monkeypatch):
         # no certificate even at m = 0: the row says so instead of raising
-        def inconclusive(problem, *args, **kwargs):
+        def inconclusive(pair, *args, **kwargs):
             return InfeasibleReport(best_margin=-1.0, status="inconclusive")
 
         monkeypatch.setattr(cli.lmi, "check_feasible", inconclusive)
@@ -285,6 +304,8 @@ class TestUsageErrors:
             (["costab-bound", "--n", "2", "--poles", "nan,0"], "poles must be finite, got (nan+0j)"),
             (["ackermann", "--n", "2", "--poles", "nan,0"], "poles must be finite, got (nan+0j)"),
             (["ackermann", "--n", "2", "--poles", "inf,0"], "poles must be finite, got (inf+0j)"),
+            # one pole short of the dimension
+            (["costab-bound", "--n", "3", "--poles", "0.1,0.2"], "need 3 poles, got 2"),
         ],
     )
     def test_rejected_value_exits_with_usage_message(self, capsys, argv, message):
@@ -490,9 +511,22 @@ class TestPlot:
     def test_missing_column(self, tmp_path):
         csv_path = self.make_csv(tmp_path, ["1,2"])
         svg_path = tmp_path / "plot.svg"
-        with pytest.raises(NamedColumnError):
-            render_plot(csv_path, "a", "missing", svg_path)
+        for x, y in (("a", "missing"), ("missing", "b")):
+            with pytest.raises(NamedColumnError, match="column 'missing' not found"):
+                render_plot(csv_path, x, y, svg_path)
         assert not svg_path.exists()
+
+    def test_plot_command_renders_a_sweep_csv(self, capsys, tmp_path):
+        csv_path = tmp_path / "sweep.csv"
+        sweep = ["exp-lmi-sweep", "--n-values", "2,3", "--tolerance", "1e-2"]
+        run_cli(capsys, *sweep, "--out", str(csv_path))
+        svg_path = tmp_path / "sweep.svg"
+        argv = ["plot", "--csv", str(csv_path), "--x", "n", "--y", "log10_largest_m"]
+        out = run_cli(capsys, *argv, "--svg", str(svg_path))
+        assert out == f"wrote {svg_path}\n"
+        reference = tmp_path / "reference.svg"
+        render_plot(csv_path, "n", "log10_largest_m", reference)
+        assert svg_path.read_bytes() == reference.read_bytes()
 
     def test_empty_rows_error(self, tmp_path):
         csv_path = self.make_csv(tmp_path, [])

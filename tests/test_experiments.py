@@ -680,9 +680,9 @@ class TestLmiSweep:
     def test_inconclusive_probes_make_the_row_conservative(self, monkeypatch):
         check = lmi.check_feasible
 
-        def inconclusive_above_zero(problem, *args, **kwargs):
-            if np.array_equal(problem.b1, problem.b2):  # m = 0
-                return check(problem, *args, **kwargs)
+        def inconclusive_above_zero(pair, *args, **kwargs):
+            if pair.m == 0:
+                return check(pair, *args, **kwargs)
             return InfeasibleReport(best_margin=-1.0, status="inconclusive")
 
         monkeypatch.setattr(lmi, "check_feasible", inconclusive_above_zero)

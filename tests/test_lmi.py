@@ -5,7 +5,7 @@ import pytest
 
 from hardstab import lmi
 from hardstab.experiments import lmi_sweep_csv_lines, run_lmi_sweep
-from hardstab.lmi import InfeasibleReport, bisect_largest_m, build_costab_lmi, check_feasible
+from hardstab.lmi import InfeasibleReport, bisect_largest_m, check_feasible
 from hardstab.synthesis import is_stabilizing
 from hardstab.systems import HardFamilyParams, make_hard_pair
 
@@ -14,15 +14,20 @@ PARAMS2 = HardFamilyParams(n=2, r=3.2, v=1.01)
 SEED2 = 2.0 / (PARAMS2.r - 1.0) * PARAMS2.scale
 
 
+def pair_blocks(pair, q, y):
+    """The pair [M1, M2] of a HardPair's siblings at (Q, Y)."""
+    return lmi.costab_blocks(pair.s1.a, pair.s1.b, pair.s2.b, q, y)
+
+
 @pytest.fixture(scope="module")
 def golden_runs():
     """The v = 1.01 sweep's bisections at n = 2..6, run once, each with the
-    (problem, outcome) of every probe it made."""
+    (pair, outcome) of every probe it made."""
     runs = {}
 
-    def recorded(problem, **kwargs):
-        outcome = check_feasible(problem, **kwargs)
-        probes.append((problem, outcome))
+    def recorded(pair, **kwargs):
+        outcome = check_feasible(pair, **kwargs)
+        probes.append((pair, outcome))
         return outcome
 
     with pytest.MonkeyPatch.context() as patch:
@@ -45,42 +50,42 @@ def coarse_n2_bisection():
     return bisect_largest_m(PARAMS2, tolerance=1e-2)
 
 
-def assert_certificate_sound(problem, cert, tolerance):
+def assert_certificate_sound(pair, cert, tolerance):
     """Direct substitution of the recovered pair into the strict conditions."""
     p = cert.recovered_p
     k = cert.recovered_k.reshape(1, -1)
     assert np.linalg.eigvalsh(p)[0] >= tolerance / 2
-    for b in (problem.b1, problem.b2):
-        closed = problem.a + b @ k
+    for sibling in (pair.s1, pair.s2):
+        closed = sibling.a + sibling.b @ k
         decrement = closed.T @ p @ closed - p
         assert np.linalg.eigvalsh(decrement)[-1] <= -tolerance / 2
         assert np.max(np.abs(np.linalg.eigvals(closed))) < 1.0
-    for block in (*problem.blocks(cert.q, cert.y), cert.q):
+    for block in (*pair_blocks(pair, cert.q, cert.y), cert.q):
         assert np.linalg.eigvalsh(block)[0] > 0
 
 
 class TestProblemConstruction:
     def test_block_shapes_n2(self):
-        problem = build_costab_lmi(make_hard_pair(PARAMS2, 0.1))
+        pair = make_hard_pair(PARAMS2, 0.1)
         q = np.eye(2)
         y = np.zeros((1, 2))
-        assert problem.blocks(q, y).shape == (2, 4, 4)
+        assert pair_blocks(pair, q, y).shape == (2, 4, 4)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("m", [0.0, 0.1])
     def test_blocks_match_reference(self, n, m):
-        problem = build_costab_lmi(make_hard_pair(HardFamilyParams(n=n, r=3.2, v=1.01), m))
+        hard_pair = make_hard_pair(HardFamilyParams(n=n, r=3.2, v=1.01), m)
         rng = np.random.default_rng(100 * n + int(10 * m))
         g = rng.standard_normal((n, n))
         q = g + g.T
         y = rng.standard_normal((1, n))
         q_before, y_before = q.copy(), y.copy()
-        pair = problem.blocks(q, y)
+        pair = pair_blocks(hard_pair, q, y)
         assert pair.shape == (2, 2 * n, 2 * n)
-        for block, b in zip(pair, (problem.b1, problem.b2), strict=True):
-            off = problem.a @ q + b @ y
+        for block, sibling in zip(pair, (hard_pair.s1, hard_pair.s2), strict=True):
+            off = sibling.a @ q + sibling.b @ y
             np.testing.assert_array_equal(block, np.block([[q, off.T], [off, q]]))
-            # Q, the third block of the problem, leads each of the pair
+            # Q, the third block, leads each of the pair
             np.testing.assert_array_equal(block[:n, :n], q)
         # the pair is a fresh array, sharing no memory with (Q, Y)
         pair += 1.0
@@ -90,10 +95,10 @@ class TestProblemConstruction:
         g = rng.standard_normal((2, 3, n, n))
         qs = g + np.swapaxes(g, -1, -2)
         ys = rng.standard_normal((2, 3, 1, n))
-        stacked = problem.blocks(qs, ys)
+        stacked = pair_blocks(hard_pair, qs, ys)
         assert stacked.shape == (2, 2, 3, 2 * n, 2 * n)
         for index in np.ndindex(2, 3):
-            alone = problem.blocks(qs[index], ys[index])
+            alone = pair_blocks(hard_pair, qs[index], ys[index])
             np.testing.assert_array_equal(stacked[(slice(None),) + index], alone)
 
     def test_q_block_is_implied_by_the_pair(self):
@@ -112,8 +117,7 @@ class TestProblemConstruction:
         )
         def check(n, share, seed, t):
             params = HardFamilyParams(n=n, r=3.2, v=1.01)
-            problem = build_costab_lmi(make_hard_pair(params, share * params.theorem_m))
-            frame = lmi._SolverFrame(problem)
+            frame = lmi._SolverFrame(make_hard_pair(params, share * params.theorem_m))
             z = np.random.default_rng(seed).standard_normal(frame.dim - 1)
             x = frame.start + frame.plane @ z
             q = frame.unpack(x)[0]
@@ -126,18 +130,17 @@ class TestProblemConstruction:
         check()
 
     def test_duplicate_blocks_at_m_zero(self):
-        problem = build_costab_lmi(make_hard_pair(PARAMS2, 0.0))
         q = np.array([[2.0, 0.3], [0.3, 1.0]])
         y = np.array([[0.5, -1.0]])
-        blocks = problem.blocks(q, y)
+        blocks = pair_blocks(make_hard_pair(PARAMS2, 0.0), q, y)
         np.testing.assert_array_equal(blocks[0], blocks[1])
 
     def test_schur_equivalence(self):
         # a feasible certificate satisfies the original strict inequalities
-        problem = build_costab_lmi(make_hard_pair(PARAMS2, 0.05))
-        cert = check_feasible(problem)
+        pair = make_hard_pair(PARAMS2, 0.05)
+        cert = check_feasible(pair)
         assert cert.feasible
-        assert_certificate_sound(problem, cert, 1e-6)
+        assert_certificate_sound(pair, cert, 1e-6)
 
 
 class TestSolverFrame:
@@ -149,9 +152,9 @@ class TestSolverFrame:
         # basis[i, j]; Q is rebuilt from svec (upper triangle, row by row)
         # here, apart from the frame's unpack, and a basis with a block
         # missing or extra fails the strict zip
-        problem = build_costab_lmi(make_hard_pair(HardFamilyParams(n=n, r=3.2, v=1.01), 1e-3))
-        certificate = check_feasible(problem) if warm else None
-        frame = lmi._SolverFrame(problem, certificate and (certificate.q, certificate.y))
+        pair = make_hard_pair(HardFamilyParams(n=n, r=3.2, v=1.01), 1e-3)
+        certificate = check_feasible(pair) if warm else None
+        frame = lmi._SolverFrame(pair, certificate and (certificate.q, certificate.y))
         assert frame.warm == warm
         rows, cols = np.triu_indices(n)
 
@@ -159,7 +162,8 @@ class TestSolverFrame:
             q = np.zeros((n, n))
             q[rows, cols] = x[: rows.size]
             q += np.triu(q, 1).T
-            return frame.scaled.blocks(q, x[rows.size :].reshape(1, n)) - t * np.eye(2 * n)
+            y = x[rows.size :].reshape(1, n)
+            return lmi.costab_blocks(frame.a, frame.b1, frame.b2, q, y) - t * np.eye(2 * n)
 
         assert frame.basis.shape == (2, frame.dim, 2 * n, 2 * n)
         rng = np.random.default_rng(10 * n + warm)
@@ -178,19 +182,19 @@ class TestSolverFrame:
 
 class TestCheckFeasible:
     def test_m_zero_feasible(self):
-        cert = check_feasible(build_costab_lmi(make_hard_pair(PARAMS2, 0.0)))
+        cert = check_feasible(make_hard_pair(PARAMS2, 0.0))
         assert cert.feasible
         assert cert.iterations > 0
         truth = make_hard_pair(PARAMS2, 0.0)
         assert is_stabilizing(truth.s1, cert.recovered_k).stable
 
     def test_small_m_feasible(self):
-        cert = check_feasible(build_costab_lmi(make_hard_pair(PARAMS2, 1e-6)))
+        cert = check_feasible(make_hard_pair(PARAMS2, 1e-6))
         assert cert.feasible
 
     def test_theorem_m_infeasible(self):
         theorem_m = 2 * (2 * 1.01 / 2.2) ** 2
-        out = check_feasible(build_costab_lmi(make_hard_pair(PARAMS2, theorem_m)))
+        out = check_feasible(make_hard_pair(PARAMS2, theorem_m))
         assert not out.feasible
         assert out.status == "infeasible"
         assert 0 < out.gap <= lmi._GAP_CLOSED
@@ -201,7 +205,7 @@ class TestCheckFeasible:
     @pytest.mark.parametrize("n", [9, 10, 11])
     def test_cold_start_certifies_m_zero(self, n, v):
         params = HardFamilyParams(n=n, r=3.2, v=v)
-        cert = check_feasible(build_costab_lmi(make_hard_pair(params, 0.0)))
+        cert = check_feasible(make_hard_pair(params, 0.0))
         assert cert.feasible
 
     def test_re_preconditioning_round_certifies_n11(self, monkeypatch):
@@ -209,11 +213,11 @@ class TestCheckFeasible:
         # re-centred on its last iterate certifies at t ~ 0.07
         params = HardFamilyParams(n=11, r=3.2, v=1.01)
         monkeypatch.setattr(lmi, "_MAX_ROUNDS", 1)
-        out = check_feasible(build_costab_lmi(make_hard_pair(params, 0.0)))
+        out = check_feasible(make_hard_pair(params, 0.0))
         assert not out.feasible and out.status == "infeasible"
 
     def test_verified_margins_reported(self):
-        cert = check_feasible(build_costab_lmi(make_hard_pair(PARAMS2, 0.1)))
+        cert = check_feasible(make_hard_pair(PARAMS2, 0.1))
         assert cert.margin > 0
         assert min(cert.lyapunov_margins) >= 5e-7
         assert cert.p_min_eigenvalue >= 5e-7
@@ -221,32 +225,31 @@ class TestCheckFeasible:
 
     def test_recovered_gain_stabilizes_both(self):
         pair = make_hard_pair(PARAMS2, 0.2)
-        cert = check_feasible(build_costab_lmi(pair))
+        cert = check_feasible(pair)
         assert cert.feasible
         assert is_stabilizing(pair.s1, cert.recovered_k).stable
         assert is_stabilizing(pair.s2, cert.recovered_k).stable
 
     def test_warm_start_agreement(self):
-        problem_a = build_costab_lmi(make_hard_pair(PARAMS2, 0.05))
-        cert_a = check_feasible(problem_a)
-        problem_b = build_costab_lmi(make_hard_pair(PARAMS2, 0.08))
-        cert_b = check_feasible(problem_b, warm_start=(cert_a.q, cert_a.y))
+        cert_a = check_feasible(make_hard_pair(PARAMS2, 0.05))
+        pair_b = make_hard_pair(PARAMS2, 0.08)
+        cert_b = check_feasible(pair_b, warm_start=(cert_a.q, cert_a.y))
         assert cert_b.feasible
-        assert_certificate_sound(problem_b, cert_b, 1e-6)
+        assert_certificate_sound(pair_b, cert_b, 1e-6)
 
     def test_warm_start_is_keyword_only(self):
         # the substitution margin is a module constant; a positional second
         # argument is refused, not read as a warm start
-        problem = build_costab_lmi(make_hard_pair(PARAMS2, 0.05))
+        pair = make_hard_pair(PARAMS2, 0.05)
         with pytest.raises(TypeError):
-            check_feasible(problem, 1e-6)
+            check_feasible(pair, 1e-6)
 
     def test_warm_start_without_positive_q_falls_back_to_cold(self):
         # Q = -I has no Cholesky factor, so the solver starts cold
         params = HardFamilyParams(n=3, r=3.2, v=1.01)
-        problem = build_costab_lmi(make_hard_pair(params, 0.05))
-        cold = check_feasible(problem)
-        warm = check_feasible(problem, warm_start=(-np.eye(3), np.zeros((1, 3))))
+        pair = make_hard_pair(params, 0.05)
+        cold = check_feasible(pair)
+        warm = check_feasible(pair, warm_start=(-np.eye(3), np.zeros((1, 3))))
         assert cold.feasible and warm.feasible
         np.testing.assert_array_equal(warm.q, cold.q)
         np.testing.assert_array_equal(warm.y, cold.y)
@@ -327,14 +330,14 @@ class TestBisection:
         # original variables, and passes the verifier again
         certified = 0
         for result, probes in golden_runs.values():
-            for problem, outcome in probes:
+            for pair, outcome in probes:
                 if not outcome.feasible:
                     continue
                 certified += 1
-                for block in (*problem.blocks(outcome.q, outcome.y), outcome.q):
+                for block in (*pair_blocks(pair, outcome.q, outcome.y), outcome.q):
                     floor = 50.0 * lmi._EPS * max(1.0, np.linalg.norm(block, 2))
                     assert np.linalg.eigvalsh(block)[0] > floor
-                assert lmi._verify_certificate(problem, outcome.q, outcome.y) is not None
+                assert lmi._verify_certificate(pair, outcome.q, outcome.y) is not None
         # m = 0 and the first widening probe of each of the five bisections
         assert certified >= 10
 
@@ -364,8 +367,8 @@ class TestBisection:
         # midpoint rounds to an end, without repeating a probe
         probed = []
 
-        def boundary_at_one_tenth(problem, warm_start=None):
-            m = float(problem.b2[0, 0] - problem.b1[0, 0])
+        def boundary_at_one_tenth(pair, warm_start=None):
+            m = pair.m
             probed.append(m)
             if m <= 0.1:
                 return SimpleNamespace(feasible=True, q=None, y=None, status="feasible")
@@ -390,8 +393,8 @@ class TestBisection:
         # probes nothing further and reports largest m 0 without a certificate
         probed = []
 
-        def never_feasible(problem, warm_start=None):
-            probed.append(float(problem.b2[0, 0] - problem.b1[0, 0]))
+        def never_feasible(pair, warm_start=None):
+            probed.append(pair.m)
             return InfeasibleReport(best_margin=-1.0, status=status)
 
         monkeypatch.setattr(lmi, "check_feasible", never_feasible)
@@ -409,8 +412,8 @@ class TestBisection:
         # it short of the tolerance, and the status says so
         probed = []
 
-        def feasible_at_zero_only(problem, warm_start=None):
-            m = float(problem.b2[0, 0] - problem.b1[0, 0])
+        def feasible_at_zero_only(pair, warm_start=None):
+            m = pair.m
             probed.append(m)
             if m == 0.0:
                 return SimpleNamespace(feasible=True, q=None, y=None, status="feasible")
@@ -445,8 +448,8 @@ class TestBisection:
         for tolerance, plain in zip((1e-3, 1e-300), plain_probes):
             probed = []
 
-            def synthetic(problem, warm_start=None):
-                m = float(problem.b2[0, 0] - problem.b1[0, 0])
+            def synthetic(pair, warm_start=None):
+                m = pair.m
                 probed.append(m)
                 if m <= boundary:
                     return SimpleNamespace(feasible=True, q=None, y=None, status="feasible")
@@ -474,9 +477,7 @@ class TestBisection:
         params = HardFamilyParams(n=3, r=3.2, v=1.01)
         result = bisect_largest_m(params, tolerance=1e-2)
         assert 0 < result.largest_feasible_m <= params.sup_bound
-        assert_certificate_sound(
-            build_costab_lmi(make_hard_pair(params, 0.0)), result.certificate, 0.0
-        )
+        assert_certificate_sound(make_hard_pair(params, 0.0), result.certificate, 0.0)
 
 
 @pytest.mark.slow
@@ -486,30 +487,25 @@ class TestAgainstConvexSolver:
 
         def cvxpy_feasible(params, m):
             pair = make_hard_pair(params, m)
-            problem = build_costab_lmi(pair)
             n = params.n
             q = cp.Variable((n, n), symmetric=True)
             y = cp.Variable((1, n))
             t = cp.Variable()
             cons = [q >> t * np.eye(n), cp.trace(q) == n]
-            for b in (problem.b1, problem.b2):
-                block = cp.bmat(
-                    [
-                        [q, (problem.a @ q + b @ y).T],
-                        [problem.a @ q + b @ y, q],
-                    ]
-                )
+            for sibling in (pair.s1, pair.s2):
+                off = sibling.a @ q + sibling.b @ y
+                block = cp.bmat([[q, off.T], [off, q]])
                 cons.append(block >> t * np.eye(2 * n))
-            solver_problem = cp.Problem(cp.Maximize(t), cons)
+            program = cp.Problem(cp.Maximize(t), cons)
             try:
-                solver_problem.solve(solver=cp.CLARABEL)
+                program.solve(solver=cp.CLARABEL)
             except Exception:
                 return None
             if t.value is None or q.value is None:
                 return None
             from hardstab.lmi import _verify_certificate
 
-            return _verify_certificate(problem, q.value, y.value) is not None
+            return _verify_certificate(pair, q.value, y.value) is not None
 
         for n in (2, 3, 4):
             params = HardFamilyParams(n=n, r=3.2, v=1.01)

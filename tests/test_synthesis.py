@@ -3,6 +3,7 @@ import pytest
 
 from hardstab.numerics import DareError, poly_roots, solve_dare, spectral_radius
 from hardstab.synthesis import (
+    IllConditionedError,
     PoleSetError,
     ackermann_gain,
     ce_lqr_gain,
@@ -14,7 +15,7 @@ from hardstab.synthesis import (
     perturbed_charpoly,
     recovered_poles,
 )
-from hardstab.systems import HardFamilyParams, hard_matrices, make_hard_pair
+from hardstab.systems import HardFamilyParams, LtiSystem, hard_matrices, make_hard_pair
 
 PARAMS2 = HardFamilyParams(n=2, r=3.2, v=1.01)
 
@@ -80,6 +81,13 @@ class TestAckermann:
         pair = make_hard_pair(PARAMS2, 0.0)
         with pytest.raises(PoleSetError):
             ackermann_gain(pair.s1, [0.5 + 0.2j, 0.1])
+
+    def test_uncontrollable_system_is_ill_conditioned(self):
+        # B reaches only the first coordinate of a diagonal A, so the
+        # controllability matrix is singular
+        sys_ = LtiSystem(a=np.diag([0.5, 0.3]), b=np.array([1.0, 0.0]))
+        with pytest.raises(IllConditionedError, match="controllability matrix condition"):
+            ackermann_gain(sys_, [0.0, 0.0])
 
 
 class TestK1ClosedForm:
@@ -289,6 +297,24 @@ class TestNonFiniteRejected:
     def test_jury_coefficient(self, coeffs):
         with pytest.raises(ValueError, match="coefficients must be finite"):
             jury_necessary(np.array(coeffs))
+
+
+class TestPoleCountRejected:
+    # one pole too few or too many is refused, not placed as a lower- or
+    # higher-degree polynomial
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda poles: costab_bound(PARAMS2, poles),
+            lambda poles: k1_closed_form(PARAMS2, poles),
+            lambda poles: ackermann_gain(make_hard_pair(PARAMS2, 0.0).s1, poles),
+        ],
+        ids=["costab_bound", "k1_closed_form", "ackermann_gain"],
+    )
+    def test_wrong_count(self, use, count):
+        with pytest.raises(PoleSetError, match=f"need 2 poles, got {count}"):
+            use([0.1] * count)
 
 
 class TestIsStabilizing:

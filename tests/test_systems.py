@@ -62,6 +62,33 @@ class TestHardPair:
         pair = make_hard_pair(PARAMS2, 0.25)
         assert pair.s1.a is pair.s2.a or np.array_equal(pair.s1.a, pair.s2.a)
 
+    def test_balance_is_the_congruence_of_scale(self):
+        # with T = diag(balance), T^-1 A T has r at (1, 1) and along the
+        # superdiagonal, and T^-1 B / v is e_n
+        params = HardFamilyParams(n=4, r=3.2, v=1.01)
+        ladder = (1.01 / 3.2) ** np.array([3.0, 2.0, 1.0, 0.0])
+        np.testing.assert_array_equal(params.balance, ladder)
+        t = np.diag(params.balance)
+        a, b = hard_matrices(4, 3.2, 1.01, 0.0)
+        normalized = np.linalg.solve(t, a @ t)
+        expected = 3.2 * (np.diag([1.0, 0.0, 0.0, 0.0]) + np.eye(4, k=1))
+        np.testing.assert_allclose(normalized, expected, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(np.linalg.solve(t, b) / 1.01, np.eye(4)[:, 3:], rtol=1e-14)
+
+
+class TestLtiSystemValidation:
+    def test_non_square_a_rejected(self):
+        with pytest.raises(ValueError, match="A must be square, got shape \\(2, 3\\)"):
+            LtiSystem(a=np.zeros((2, 3)), b=np.zeros(2))
+
+    @pytest.mark.parametrize("where", ["a", "b"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_matrices_rejected(self, where, value):
+        a, b = np.eye(2), np.ones(2)
+        (a if where == "a" else b)[-1] = value
+        with pytest.raises(ValueError, match="system matrices must be finite"):
+            LtiSystem(a=a, b=b)
+
 
 class TestControllability:
     def test_n2_by_hand(self):
@@ -174,6 +201,17 @@ class TestSimulate:
         policy = InputPolicy.custom(lambda t, u, x, gen: float(t))
         traj = simulate(pair.s1, policy, 4, Prng(0))
         np.testing.assert_array_equal(traj.inputs, [0.0, 1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_below_one_rejected(self, horizon):
+        pair = make_hard_pair(PARAMS2, 0.0)
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            simulate(pair.s1, InputPolicy.zero(), horizon, Prng(0))
+
+    def test_custom_policy_without_a_map_rejected(self):
+        pair = make_hard_pair(PARAMS2, 0.0)
+        with pytest.raises(ValueError, match="custom policy requires a history map"):
+            simulate(pair.s1, InputPolicy(kind="custom"), 4, Prng(0))
 
     def test_custom_gaussian_policy_matches_iid_stream_layout(self):
         # both policy paths read the stream as input draw, then n noise draws
