@@ -214,13 +214,13 @@ _DARE_TOLERANCE = 1e-9
 
 @dataclass
 class DareStack:
-    """solve_dare on a stack of k input matrices, element by element.  A
+    """solve_dare on a stack of k input vectors, element by element.  A
     failed element's p and gain are NaN, and its error says which exit it
     took."""
 
     p: np.ndarray  # k x n x n
-    gain: np.ndarray  # k x m x n
-    residual: np.ndarray  # each element's last residual (NaN for a singular Gram matrix)
+    gain: np.ndarray  # k x n
+    residual: np.ndarray  # each element's last residual
     errors: tuple  # each element's DareError, or None where it converged
     iterations: int  # fixed-point iterations summed over the elements
 
@@ -236,29 +236,10 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     return np.sqrt(flat @ flat.transpose(0, 2, 1)).reshape(-1)
 
 
-def _solve_each(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.solve on each system of a stack, and the mask of the
-    singular ones, whose solutions are NaN."""
-    singular = np.zeros(len(gram), dtype=bool)
-    try:
-        return np.linalg.solve(gram, rhs), singular
-    except np.linalg.LinAlgError:
-        pass
-    out = np.full(rhs.shape, np.nan)
-    for i in range(len(gram)):
-        try:
-            out[i] = np.linalg.solve(gram[i], rhs[i])
-        except np.linalg.LinAlgError:
-            singular[i] = True
-    return out, singular
-
-
-def _dare_error(singular: bool, residual: float) -> DareError:
-    if singular:
-        return DareError("singular input-weight Gram matrix R + B'PB")
-    if not math.isfinite(residual):
-        return DareError("Riccati residual is not finite", residual=residual)
-    return DareError("Riccati iteration stalled above tolerance", residual=residual)
+def _dare_error(residual: float) -> DareError:
+    if math.isfinite(residual):
+        return DareError("Riccati iteration stalled above tolerance", residual=residual)
+    return DareError("Riccati residual is not finite", residual=residual)
 
 
 def solve_dare(
@@ -268,11 +249,13 @@ def solve_dare(
     r,
     rel_tolerance: float = 0.0,
 ) -> DareStack:
-    """Fixed-point iteration P <- A'PA - A'PB(R + B'PB)^-1 B'PA + Q from P0 = Q.
+    """Fixed-point iteration P <- A'PA - A'PB(R + B'PB)^-1 B'PA + Q from P0 = Q,
+    for a single input.
 
-    b is a stack of k n x m input matrices, shaped (k, n, m), that share a,
-    q and r; the whole stack runs through one loop.  One system is a stack
-    of one, b[np.newaxis].
+    b is a stack of k input vectors, shaped (k, n, 1), that share a, q and
+    the input weight R = r, one positive finite number in any one-entry
+    shape; the whole stack runs through one loop.  One system is a stack of
+    one, b[np.newaxis].  Any other b or r raises ValueError.
 
     Success means the float64 residual ||P - f(P)||_F fell below
     max(1e-9, rel_tolerance * ||P||_F); rounding noise makes the plain
@@ -284,14 +267,15 @@ def solve_dare(
     -(R + B'PB)^-1 B'PA at the returned P that the last step solved for;
     non-finite, as soon as the residual overflows (the relative threshold
     would be inf too and pass it); stalled, after more than 500 steps in a
-    row without a 0.1% residual decrease; the iteration cap; and a singular
-    R + B'PB.  Each failure is a DareError, which carries the last residual
-    unless the Gram matrix was singular.  An element leaves the stack at the
-    iteration where it exits, so it runs the steps, and gets the bits, that
-    it would get alone.
+    row without a 0.1% residual decrease; and the iteration cap.  Each
+    failure is a DareError carrying the last residual.  An element leaves
+    the stack at the iteration where it exits, so it runs the steps, and
+    gets the bits, that it would get alone.  With R > 0 and P >= 0 the
+    Gram term R + B'PB is a positive scalar; multiplying by its reciprocal
+    gives the bits np.linalg.solve gives for the 1 x 1 system.
 
     Returns a DareStack and raises for no element: p (k, n, n) and gain
-    (k, m, n), NaN where an element failed; each element's last residual
+    (k, n), NaN where an element failed; each element's last residual
     (k,); errors, each failed element's DareError and None elsewhere
     (``failed`` is that mask); and iterations, summed over the elements.
     """
@@ -299,16 +283,19 @@ def solve_dare(
     n = a.shape[0]
     b = np.asarray(b, dtype=float)
     q = np.asarray(q, dtype=float)
-    if a.shape != (n, n) or q.shape != (n, n) or b.ndim != 3 or b.shape[1] != n:
+    if a.shape != (n, n) or q.shape != (n, n) or b.ndim != 3 or b.shape[1:] != (n, 1):
         raise ValueError(
             f"solve_dare: inconsistent matrix dimensions: a {a.shape}, q {q.shape}, "
-            f"b {b.shape} (a (k, n, m) stack)"
+            f"b {b.shape} (a (k, n, 1) stack)"
         )
-    count, _, m = b.shape
-    r = np.asarray(r, dtype=float).reshape(m, m)
+    r = np.asarray(r, dtype=float)
+    if r.size != 1 or not 0 < r.item() < np.inf:
+        raise ValueError(f"solve_dare: r must be one positive, finite weight, got {r.tolist()}")
+    r = r.item()
+    count = b.shape[0]
 
     p_out = np.full((count, n, n), np.nan)
-    gain_out = np.full((count, m, n), np.nan)
+    gain_out = np.full((count, n), np.nan)
     residual_out = np.full(count, np.nan)
     errors = [None] * count
     iterations = 0
@@ -321,7 +308,7 @@ def solve_dare(
         for _ in range(_DARE_MAX_ITERATIONS):
             iterations += active.size
             btp = b.transpose(0, 2, 1) @ p
-            gain_part, singular = _solve_each(r + btp @ b, btp @ a)
+            gain_part = (btp @ a) * (1.0 / (r + btp @ b))
             p_next = a.T @ p @ a - (a.T @ btp.transpose(0, 2, 1)) @ gain_part + q
             residual = _frobenius(p_next - p)
             threshold = np.maximum(_DARE_TOLERANCE, rel_tolerance * _frobenius(p_next))
@@ -329,16 +316,15 @@ def solve_dare(
             np.copyto(best_residual, residual, where=improved)
             stall += 1
             stall[improved] = 0
-            # a singular Gram matrix leaves a NaN residual
             going = (residual > threshold) & (residual < np.inf) & (stall <= 500)
             if not going.all():
                 exits = ~going
                 converged = exits & (residual <= threshold) & np.isfinite(residual)
                 residual_out[active[exits]] = residual[exits]
                 p_out[active[converged]] = p[converged]
-                gain_out[active[converged]] = -gain_part[converged]
+                gain_out[active[converged]] = -gain_part[converged, 0]
                 for i in np.flatnonzero(exits & ~converged):
-                    errors[active[i]] = _dare_error(singular[i], float(residual[i]))
+                    errors[active[i]] = _dare_error(float(residual[i]))
                 active, b, p_next, best_residual, stall, residual = (
                     x[going] for x in (active, b, p_next, best_residual, stall, residual)
                 )

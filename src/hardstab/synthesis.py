@@ -204,20 +204,20 @@ def ce_lqr_gain(params: HardFamilyParams, b1_hat):
     matrix norm grows like (r/v)^(2n); see solve_dare.  Synthesis succeeding
     says nothing about stability on the true system.
 
-    Estimates are solved as one stack.  A float estimate, a stack of one,
-    gives its (n,) gain and raises that element's DareError when the solve
-    fails.  A 1-D array of estimates gives (gains, failed): a (k, n) array
-    with one gain row per estimate, NaN where its solve failed, and the
-    mask of those rows.
+    Estimates are solved as one single-input stack.  A float estimate, a
+    stack of one, gives its (n,) gain and raises that element's DareError
+    when the solve fails.  A 1-D array of estimates gives (gains, failed):
+    the stack's (k, n) gains, one row per estimate, NaN where its solve
+    failed, and the mask of those rows.
     """
     a, b = hard_matrices(params.n, params.r, params.v, np.atleast_1d(b1_hat))
     _warn_if_large(params.n)
-    stack = solve_dare(a, b, np.eye(params.n), np.array([[1.0]]), rel_tolerance=1e-8)
+    stack = solve_dare(a, b, np.eye(params.n), 1.0, rel_tolerance=1e-8)
     if np.ndim(b1_hat):
-        return stack.gain[:, 0], stack.failed
+        return stack.gain, stack.failed
     if stack.errors[0] is not None:
         raise stack.errors[0]
-    return stack.gain[0, 0]
+    return stack.gain[0]
 
 
 def recovered_poles(params: HardFamilyParams, gain: np.ndarray) -> np.ndarray:

@@ -56,9 +56,12 @@ class LtiSystem:
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float).reshape(a.shape[0], 1)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"A must be square, got shape {a.shape}")
+        b = np.asarray(self.b, dtype=float)
+        if b.size != a.shape[0]:
+            raise ValueError(f"B must have {a.shape[0]} entries, one per row of A, got shape {b.shape}")
+        b = b.reshape(-1, 1)
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("system matrices must be finite")
         if not 0 <= self.noise_variance < np.inf:

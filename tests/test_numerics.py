@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from hardstab import numerics
 from hardstab.numerics import (
     DareError,
     Prng,
+    RootFindingError,
     characteristic_polynomial,
     gaussian_sample,
     poly_eval,
@@ -54,6 +56,15 @@ class TestPolyRoots:
             roots = poly_roots(coeffs)
             residuals = np.abs(poly_eval(coeffs, roots))
             assert np.max(residuals) <= 1e-8 * np.max(np.abs(coeffs))
+
+    def test_non_convergence_raises(self, monkeypatch):
+        # one Durand-Kerner step cannot meet the residual check
+        monkeypatch.setattr(numerics, "_DK_MAX_ITERATIONS", 1)
+        coeffs = [0.1, -0.5, 0.2, 1.3, -0.7, 1.0]
+        with pytest.raises(RootFindingError) as err:
+            poly_roots(coeffs)
+        assert err.value.coeffs.tolist() == coeffs
+        assert err.value.iterations == 1
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -123,7 +134,7 @@ class TestSolveDare:
     def test_scalar_no_dynamics(self):
         sol = solve_dare([[0.0]], [[[1.0]]], [[1.0]], [[1.0]])
         assert sol.p[0][0, 0] == pytest.approx(1.0)
-        assert sol.gain[0][0, 0] == pytest.approx(0.0)
+        assert sol.gain[0][0] == pytest.approx(0.0)
 
     def test_scalar_hand_algebra(self):
         # the fixed point reduces to p^2 = 1 + 0.25 p, so p = (1 + sqrt(65))/8
@@ -131,7 +142,7 @@ class TestSolveDare:
         p = sol.p[0][0, 0]
         assert p == pytest.approx((1 + np.sqrt(65)) / 8, rel=1e-9)
         assert p == pytest.approx(1.13278, abs=1e-5)
-        assert sol.gain[0][0, 0] == pytest.approx(-0.26557, abs=1e-5)
+        assert sol.gain[0][0] == pytest.approx(-0.26557, abs=1e-5)
 
     def test_residual_definition(self):
         a = np.array([[0.9, 0.2], [0.0, 0.4]])
@@ -151,7 +162,7 @@ class TestSolveDare:
 
         a, b = hard_matrices(3, 3.2, 1.01, 0.0)
         sol = solve_dare(a, b[np.newaxis], np.eye(3), [[1.0]], rel_tolerance=1e-8)
-        assert spectral_radius(a + b @ sol.gain[0]) < 1.0
+        assert spectral_radius(a + b @ sol.gain[:1]) < 1.0
 
     def test_absolute_tolerance_failure_is_explicit(self):
         # cost magnitudes ~1e8 make the absolute 1e-9 residual unreachable
@@ -214,19 +225,19 @@ class TestSolveDare:
                     assert stack.p[i].tobytes() == ref[0].tobytes()
                     assert stack.gain[i].tobytes() == ref[1].tobytes()
 
-    def test_singular_gram_fails_only_its_element(self):
-        # with R = 0, a zero input column makes R + B'PB singular
+    def test_two_inputs_are_rejected(self):
+        # the solver is single-input: b must be a (k, n, 1) stack
         a = np.array([[0.5, 0.1], [0.0, 0.3]])
-        b = np.array([[[0.0], [1.0]], [[0.0], [0.0]], [[1.0], [1.0]]])
-        stack = solve_dare(a, b, np.eye(2), [[0.0]])
-        np.testing.assert_array_equal(stack.failed, [False, True, False])
-        assert "singular" in str(stack.errors[1])
-        for i in (0, 2):
-            single = solve_dare(a, b[i : i + 1], np.eye(2), [[0.0]])
-            assert stack.gain[i].tobytes() == single.gain[0].tobytes()
-        (error,) = solve_dare(a, b[1:2], np.eye(2), [[0.0]]).errors
-        assert isinstance(error, DareError)
-        assert "singular" in str(error)
+        b = np.eye(2)[np.newaxis]
+        with pytest.raises(ValueError, match=r"inconsistent matrix dimensions.*b \(1, 2, 2\)"):
+            solve_dare(a, b, np.eye(2), np.eye(2))
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, np.nan, np.inf, [[1.0, 0.0]]])
+    def test_input_weight_must_be_one_positive_finite_number(self, r):
+        a = np.array([[0.5, 0.1], [0.0, 0.3]])
+        b = np.array([[[0.0], [1.0]]])
+        with pytest.raises(ValueError, match="r must be one positive, finite weight"):
+            solve_dare(a, b, np.eye(2), r)
 
     def test_single_input_matrix_is_rejected(self):
         # b must be a (k, n, m) stack; one system is b[np.newaxis]

@@ -416,7 +416,7 @@ class TestStackedCeLqr:
             a, b = hard_matrices(n, 3.2, 1.01, estimates)
             stack = solve_dare(a, b, np.eye(n), [[1.0]], rel_tolerance=1e-8)
             np.testing.assert_array_equal(stack.failed, failed)
-            assert gains.tobytes() == stack.gain[:, 0].tobytes()
+            assert gains.tobytes() == stack.gain.tobytes()
             closed = truth.a + truth.b @ gains[~failed][:, np.newaxis, :]
             assert spectral_radius(closed).tolist() == [spectral_radius(m) for m in closed]
             stable = is_stabilizing(truth, gains[~failed]).stable

@@ -81,6 +81,14 @@ class TestLtiSystemValidation:
         with pytest.raises(ValueError, match="A must be square, got shape \\(2, 3\\)"):
             LtiSystem(a=np.zeros((2, 3)), b=np.zeros(2))
 
+    def test_scalar_a_rejected(self):
+        with pytest.raises(ValueError, match=r"A must be square, got shape \(\)"):
+            LtiSystem(a=1.0, b=1.0)
+
+    def test_b_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match=r"B must have 2 entries, one per row of A, got shape \(3,\)"):
+            LtiSystem(a=np.eye(2), b=np.zeros(3))
+
     @pytest.mark.parametrize("where", ["a", "b"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_matrices_rejected(self, where, value):
