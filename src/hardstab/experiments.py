@@ -17,12 +17,12 @@ guard trips.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .lmi import BISECTION_TOLERANCE, bisect_largest_m
+from .lmi import BISECTION_TOLERANCE, BisectionResult, bisect_largest_m
 from .numerics import Prng
 from .synthesis import ce_lqr_gain, is_stabilizing
 from .systems import HardFamilyParams, InputPolicy, csv_line, hard_system, open_loop_batch
@@ -370,45 +370,22 @@ def run_ce_lqr(config: CeLqrConfig) -> CeLqrResult:
 LMI_SWEEP_HEADER = "n,r,v,largest_m,log10_largest_m,sup_bound,iterations,status"
 
 
-@dataclass(frozen=True)
-class LmiSweepRow:
-    n: int
-    r: float
-    v: float
-    largest_m: float
-    sup_bound: float
-    iterations: int
-    status: str
-
-
 def run_lmi_sweep(
     n_values: Sequence[int], r: float, v: float, tolerance: float = BISECTION_TOLERANCE
-) -> list[LmiSweepRow]:
-    """One bisection row per n; every row's family is checked first."""
+) -> list[BisectionResult]:
+    """One bisection per n, each a row of the sweep; every row's family is
+    checked first."""
     families = [HardFamilyParams(n=n, r=r, v=v) for n in n_values]
-    rows = []
-    for params in families:
-        result = bisect_largest_m(params, tolerance=tolerance)
-        rows.append(
-            LmiSweepRow(
-                n=params.n,
-                r=r,
-                v=v,
-                largest_m=result.largest_feasible_m,
-                sup_bound=params.sup_bound,
-                iterations=result.iterations,
-                status=result.status,
-            )
-        )
-    return rows
+    return [bisect_largest_m(params, tolerance=tolerance) for params in families]
 
 
-def lmi_sweep_csv_lines(rows: Sequence[LmiSweepRow]) -> list[str]:
+def lmi_sweep_csv_lines(rows: Sequence[BisectionResult]) -> list[str]:
     lines = [LMI_SWEEP_HEADER]
     for row in rows:
-        log10_m = np.log10(row.largest_m) if row.largest_m > 0 else float("-inf")
+        params, m = row.params, row.largest_feasible_m
+        log10_m = np.log10(m) if m > 0 else float("-inf")
         lines.append(csv_line([
-            row.n, row.r, row.v, row.largest_m, log10_m, row.sup_bound, row.iterations, row.status
+            params.n, params.r, params.v, m, log10_m, params.sup_bound, row.iterations, row.status
         ]))
     return lines
 

@@ -20,8 +20,9 @@ works in congruence-transformed coordinates that make a start point the
 identity, and re-preconditions between rounds; every returned certificate
 is re-verified in the original variables by direct substitution of all
 three blocks.  A probe is "feasible" when a certificate verifies,
-"infeasible" when the duality gap closes first, and "inconclusive" when the
-iteration cap or a numerical breakdown comes first.
+"infeasible" when the duality gap closes first with the margin t at most
+the gap, "unverified" when it closes with t above the gap, and
+"inconclusive" when the iteration cap or a numerical breakdown comes first.
 
 bisect_largest_m's bracket starts at [0, theorem_m] and first widens
 around (2 / (r - 1)) * HardFamilyParams.scale, where the boundary is
@@ -110,13 +111,15 @@ class LmiCertificate:
 @dataclass(frozen=True)
 class InfeasibleReport:
     """No verified certificate; see check_feasible.  Status 'infeasible'
-    means a round's duality gap closed first, 'inconclusive' that every
-    round hit the iteration cap or broke down.  best_margin and gap are the
-    margin t and the duality gap <X, S> of the last iterate, in the solver
-    coordinates of the last round; neither is checked."""
+    means a round's duality gap closed first with best_margin <= gap,
+    'unverified' that it closed with best_margin > gap, and 'inconclusive'
+    that every round hit the iteration cap or broke down.  best_margin and
+    gap are the margin t and the duality gap <X, S> at the end of the last
+    round whose gap closed, or of the last round when none did, in that
+    round's solver coordinates; neither is checked."""
 
     best_margin: float
-    status: str  # "infeasible" | "inconclusive"
+    status: str  # "infeasible" | "unverified" | "inconclusive"
     iterations: int = 0  # path-following iterations over all rounds
     gap: float = math.nan
 
@@ -127,6 +130,9 @@ class InfeasibleReport:
 
 @dataclass(frozen=True)
 class BisectionResult:
+    """One bisection of bisect_largest_m, and one row of the LMI sweep."""
+
+    params: HardFamilyParams  # the family bisected
     largest_feasible_m: float
     bracket: tuple[float, float]
     iterations: int
@@ -143,8 +149,8 @@ class BisectionResult:
     def status(self) -> str:
         """'uncertified' when not even m = 0 could be certified, else
         'unconverged' when the probe cap stopped the bisection short of its
-        tolerance, else 'conservative' when an inconclusive probe was
-        counted as infeasible, else 'ok'."""
+        tolerance, else 'conservative' when an inconclusive or unverified
+        probe was counted as infeasible, else 'ok'."""
         if self.certificate is None:
             return "uncertified"
         if self.capped:
@@ -421,34 +427,40 @@ def check_feasible(
 
     "feasible": a certificate passed _verify_certificate, which checks M1,
     M2 and Q with a fixed substitution margin (_SUBSTITUTION_MARGIN).
-    "infeasible": a round's duality gap closed with no certificate verified,
-    so the largest margin in its coordinates is t to within the gap.  That
-    t is mostly a numerical zero (about -1e-10).  Next to the boundary it
-    can be positive (up to 1e-2 at n = 10) while no iterate's certificate
-    passes substitution: in the original variables its Schur margins sit
-    below the rounding floor.
-    "inconclusive": every round hit _MAX_ITERATIONS or broke down first.
+    The last round whose duality gap closed with no certificate verified
+    decides the other verdicts: the largest margin in its coordinates is
+    its t to within its gap.
+    "infeasible": t <= gap.  Such a t is a numerical zero (-2.5e-7 to
+    -2.7e-11 on the sweep's probes at n = 2..12).
+    "unverified": t > gap.  Below the boundary t is positive (9.1e-8 to 0.14
+    on those probes) while no iterate's certificate passes substitution:
+    in the original variables its Schur margins sit below the rounding
+    floor.  The margin says feasible and no certificate confirms it.
+    "inconclusive": no round closed; every one hit _MAX_ITERATIONS or broke
+    down first.
     """
     frame = _SolverFrame(pair, warm_start)
     iterations = 0
-    closed = False
+    closed = None  # the last round whose gap closed
     for _ in range(_MAX_ROUNDS):
         outcome = _path_follow(pair, frame)
         iterations += outcome.iterations
         if outcome.certificate is not None:
             return replace(outcome.certificate, iterations=iterations)
         if outcome.gap <= _GAP_CLOSED:
-            closed = True
+            closed = outcome
             if frame.warm:
                 break
         if np.linalg.eigvalsh(frame.unpack(outcome.x)[0])[0] <= 0:
             break
         frame = _SolverFrame(pair, frame.to_original(outcome.x))
+    if closed is None:
+        status = "inconclusive"
+    else:
+        outcome = closed
+        status = "unverified" if closed.t > closed.gap else "infeasible"
     return InfeasibleReport(
-        best_margin=outcome.t,
-        status="infeasible" if closed else "inconclusive",
-        iterations=iterations,
-        gap=outcome.gap,
+        best_margin=outcome.t, status=status, iterations=iterations, gap=outcome.gap
     )
 
 
@@ -478,14 +490,14 @@ def bisect_largest_m(
     one stopped first by the _MAX_PROBES cap, which counts the widening
     probes too, reports status 'unconverged'.
 
-    Probes treat an inconclusive solver status as infeasible and flag the
-    result as conservative.  The feasible endpoint's certificate warm-starts
-    each probe.  Each probe lies strictly inside the bracket and becomes its
-    lower end when feasible, its upper end otherwise, so no probe repeats and
-    every feasible probe in the trace lies below every infeasible one.
-    ``iterations`` counts the probes after m = 0.  When m = 0 cannot be
-    certified, the result has status 'uncertified', largest m 0, no
-    certificate and no probes.
+    Probes treat an inconclusive or unverified solver status as infeasible
+    and flag the result as conservative.  The feasible endpoint's
+    certificate warm-starts each probe.  Each probe lies strictly inside the
+    bracket and becomes its lower end when feasible, its upper end
+    otherwise, so no probe repeats and every feasible probe in the trace
+    lies below every infeasible one.  ``iterations`` counts the probes after
+    m = 0.  When m = 0 cannot be certified, the result has status
+    'uncertified', largest m 0, no certificate and no probes.
     """
     if not 0 < tolerance < math.inf:
         raise ValueError("tolerance must be positive and finite")
@@ -496,6 +508,7 @@ def bisect_largest_m(
     outcome = check_feasible(make_hard_pair(params, 0.0))
     if not outcome.feasible:
         return BisectionResult(
+            params=params,
             largest_feasible_m=lo,
             bracket=(lo, hi),
             iterations=0,
@@ -524,7 +537,7 @@ def bisect_largest_m(
             trace.append((m, "feasible"))
         else:
             hi = m
-            conservative = conservative or outcome.status == "inconclusive"
+            conservative = conservative or outcome.status in ("inconclusive", "unverified")
             trace.append((m, outcome.status))
         return outcome.feasible
 
@@ -554,6 +567,7 @@ def bisect_largest_m(
         probe(mid)
 
     return BisectionResult(
+        params=params,
         largest_feasible_m=lo,
         bracket=(lo, hi),
         iterations=iterations,

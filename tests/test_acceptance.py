@@ -268,14 +268,16 @@ def test_criterion_08_costabilizability_sweep_trend(lmi_sweep_results):
     below_ceiling = True
     dominance = True
     for v, rows in results.items():
-        values = [row.largest_m for row in rows]
+        values = [row.largest_feasible_m for row in rows]
         logs = [math.log10(value) for value in values]
         if not all(b < a for a, b in zip(logs, logs[1:])):
             decreasing = False
-        if not all(row.largest_m <= row.sup_bound * (1 + 1e-12) for row in rows):
+        if not all(
+            row.largest_feasible_m <= row.params.sup_bound * (1 + 1e-12) for row in rows
+        ):
             below_ceiling = False
     for row_low, row_high in zip(results[1.01], results[1.09]):
-        if row_high.largest_m <= row_low.largest_m:
+        if row_high.largest_feasible_m <= row_low.largest_feasible_m:
             dominance = False
     criterion(
         8,
@@ -297,7 +299,9 @@ def test_criterion_08_slope_matches_ceiling_scaling(lmi_sweep_results):
     within = True
     measured = {}
     for v, rows in results.items():
-        slope, _ = fit_line([row.n for row in rows], [math.log(row.largest_m) for row in rows])
+        slope, _ = fit_line(
+            [row.params.n for row in rows], [math.log(row.largest_feasible_m) for row in rows]
+        )
         target = math.log(2 * v / (3.2 - 1))
         measured[v] = (slope, target)
         if abs(slope - target) > 0.15 * abs(target):
@@ -322,9 +326,10 @@ def test_lmi_sweep_rows_meet_their_closed_form(lmi_sweep_results):
     ratios = {}
     for v, rows in results.items():
         for row in rows:
-            if row.n <= 6:
-                closed_form = 2 * v**row.n / (row.r ** (row.n - 1) * (row.r - 1))
-                ratios[row.n, v] = closed_form / row.largest_m
+            n, r = row.params.n, row.params.r
+            if n <= 6:
+                closed_form = 2 * v**n / (r ** (n - 1) * (r - 1))
+                ratios[n, v] = closed_form / row.largest_feasible_m
     assert sorted(ratios) == [(n, v) for n in range(2, 7) for v in (1.01, 1.05, 1.09)]
     outside = {key: ratio for key, ratio in ratios.items() if not 1.0 < ratio <= 1.002}
     assert not outside, outside

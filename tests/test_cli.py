@@ -528,6 +528,36 @@ class TestPlot:
         render_plot(csv_path, "n", "log10_largest_m", reference)
         assert svg_path.read_bytes() == reference.read_bytes()
 
+    def test_one_row_sweep_plots_at_the_centre(self, capsys, tmp_path):
+        # both columns are constant, so each axis is padded by 1/2 on either
+        # side and the one point sits in the middle of the plot area
+        csv_path = tmp_path / "sweep.csv"
+        sweep = ["exp-lmi-sweep", "--n-values", "2", "--tolerance", "1e-2"]
+        run_cli(capsys, *sweep, "--out", str(csv_path))
+        svg_path = tmp_path / "sweep.svg"
+        render_plot(csv_path, "n", "log10_largest_m", svg_path)
+        svg = svg_path.read_text()
+        assert re.search(r'points="([^"]+)"', svg).group(1) == "344.000,224.000"
+        assert ">1.5</text>" in svg and ">2.5</text>" in svg
+
+    def test_saturated_ce_row_is_skipped(self, tmp_path):
+        # a saturated row has no min_N, an empty field in the table
+        rows = tuple(
+            experiments.CeLqrRow(n, min_n, 0.9, 0, status, 0.0)
+            for n, min_n, status in ((2, 1, "ok"), (3, None, "saturated"), (4, 6, "ok"))
+        )
+        csv_path = tmp_path / "ce.csv"
+        experiments.write_csv_lines(csv_path, experiments.CeLqrResult(rows).csv_lines())
+        assert ",,0.9" in csv_path.read_text()
+        svg_path = tmp_path / "ce.svg"
+        render_plot(csv_path, "n", "min_N", svg_path)
+        points = re.search(r'points="([^"]+)"', svg_path.read_text()).group(1)
+        assert len(points.split(" ")) == 2
+        rows_without = self.make_csv(tmp_path, ["2,1", "4,6"])
+        reference = tmp_path / "reference.svg"
+        render_plot(rows_without, "a", "b", reference)
+        assert points == re.search(r'points="([^"]+)"', reference.read_text()).group(1)
+
     def test_empty_rows_error(self, tmp_path):
         csv_path = self.make_csv(tmp_path, [])
         svg_path = tmp_path / "plot.svg"

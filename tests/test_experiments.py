@@ -4,13 +4,12 @@ import pytest
 from hardstab import experiments, lmi, systems
 from hardstab.experiments import (
     CeLqrConfig,
-    LmiSweepRow,
     lmi_sweep_csv_lines,
     run_ce_lqr,
     run_lmi_sweep,
     write_csv_lines,
 )
-from hardstab.lmi import InfeasibleReport
+from hardstab.lmi import BisectionResult, InfeasibleReport
 from hardstab.numerics import DareError, Prng
 from hardstab.synthesis import ce_lqr_gain, is_stabilizing
 from hardstab.systems import (
@@ -674,8 +673,8 @@ class TestLmiSweep:
         rows = run_lmi_sweep([2, 3], r=3.2, v=1.01, tolerance=1e-2)
         assert len(rows) == 2
         for row in rows:
-            assert 0 < row.largest_m <= row.sup_bound
-        assert rows[1].largest_m < rows[0].largest_m
+            assert 0 < row.largest_feasible_m <= row.params.sup_bound
+        assert rows[1].largest_feasible_m < rows[0].largest_feasible_m
 
     def test_inconclusive_probes_make_the_row_conservative(self, monkeypatch):
         check = lmi.check_feasible
@@ -696,9 +695,15 @@ class TestLmiSweep:
         assert lmi_sweep_csv_lines(rows)[1].split(",")[-1] == "conservative"
 
     def test_csv_lines(self, tmp_path):
+        params = HardFamilyParams(n=2, r=3.2, v=1.01)
         rows = [
-            LmiSweepRow(
-                n=2, r=3.2, v=1.01, largest_m=0.28, sup_bound=0.84, iterations=10, status="ok"
+            BisectionResult(
+                params=params,
+                largest_feasible_m=0.28,
+                bracket=(0.28, 0.29),
+                iterations=10,
+                certificate=lmi.check_feasible(make_hard_pair(params, 0.0)),
+                conservative=False,
             )
         ]
         lines = lmi_sweep_csv_lines(rows)

@@ -201,6 +201,22 @@ class TestCheckFeasible:
         assert out.best_margin <= 0
         assert out.iterations > 0
 
+    @pytest.mark.parametrize(
+        "margin, status", [(1e-3, "unverified"), (-0.25 * lmi._GAP_CLOSED, "infeasible")]
+    )
+    def test_closing_margin_decides_the_verdict(self, monkeypatch, margin, status):
+        # every round closes at gap _GAP_CLOSED / 2 without a certificate: a
+        # margin above the gap reads 'unverified', one at -gap / 2 'infeasible'
+        gap = 0.5 * lmi._GAP_CLOSED
+
+        def closing(pair, frame):
+            return lmi._Round(None, frame.start, margin, gap, 7)
+
+        monkeypatch.setattr(lmi, "_path_follow", closing)
+        out = check_feasible(make_hard_pair(PARAMS2, 0.1))
+        assert not out.feasible and out.status == status
+        assert (out.best_margin, out.gap) == (margin, gap)
+
     @pytest.mark.parametrize("v", [1.01, 1.09])
     @pytest.mark.parametrize("n", [9, 10, 11])
     def test_cold_start_certifies_m_zero(self, n, v):
@@ -281,6 +297,15 @@ class TestBisection:
         assert [status for _, status in four.trace] == [
             "feasible", "infeasible-analytic", "feasible", "infeasible", "infeasible"
         ]
+
+    def test_unverified_probes_make_the_row_conservative(self):
+        # at n = 7 a probe below the boundary closes with a positive margin
+        # and no certificate; it counts as infeasible, so the boundary stays
+        # where it was and the row says it may lie short
+        result = bisect_largest_m(HardFamilyParams(n=7, r=3.2, v=1.01), tolerance=1e-3)
+        assert result.largest_feasible_m == 9.0665680034019249e-4
+        assert [status for _, status in result.trace].count("unverified") == 1
+        assert result.conservative and result.status == "conservative"
 
     def test_widening_starts_at_the_seed(self, golden_bisections):
         # the first probe after m = 0 is the seed c (1 - tolerance / 2),
@@ -387,7 +412,7 @@ class TestBisection:
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             bisect_largest_m(PARAMS2, tolerance=tolerance)
 
-    @pytest.mark.parametrize("status", ["infeasible", "inconclusive"])
+    @pytest.mark.parametrize("status", ["infeasible", "unverified", "inconclusive"])
     def test_uncertified_zero_reports_a_status(self, monkeypatch, status):
         # past n = 12 even m = 0 may not be certified; the bisection then
         # probes nothing further and reports largest m 0 without a certificate

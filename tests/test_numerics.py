@@ -225,6 +225,33 @@ class TestSolveDare:
                     assert stack.p[i].tobytes() == ref[0].tobytes()
                     assert stack.gain[i].tobytes() == ref[1].tobytes()
 
+    def test_iteration_cap_fails_only_the_elements_it_stops(self, monkeypatch):
+        # at n = 3 the estimate 2.0 converges in 9 steps, 0.0 and 0.02 need
+        # 12: a cap of 10 stops those two, and the third keeps its own result
+        from hardstab.systems import hard_matrices
+
+        a, b = hard_matrices(3, 3.2, 1.01, np.array([0.0, 2.0, 0.02]))
+        converged = solve_dare(a, b[1:2], np.eye(3), 1.0, rel_tolerance=1e-8)
+        monkeypatch.setattr(numerics, "_DARE_MAX_ITERATIONS", 10)
+        stack = solve_dare(a, b, np.eye(3), 1.0, rel_tolerance=1e-8)
+        np.testing.assert_array_equal(stack.failed, [True, False, True])
+        assert stack.iterations == 10 + converged.iterations + 10
+        assert stack.gain[1].tobytes() == converged.gain[0].tobytes()
+        assert stack.p[1].tobytes() == converged.p[0].tobytes()
+        assert stack.residual[1] == converged.residual[0]
+        for i in (0, 2):
+            assert "Riccati iteration cap reached" in str(stack.errors[i])
+            assert np.isnan(stack.gain[i]).all() and np.isnan(stack.p[i]).all()
+            # the residual of the tenth step of the plain loop
+            p = np.eye(3)
+            for _ in range(10):
+                btp = b[i].T @ p
+                gain_part = (btp @ a) * (1.0 / (1.0 + btp @ b[i]))
+                p, previous = a.T @ p @ a - (a.T @ btp.T) @ gain_part + np.eye(3), p
+            last = np.linalg.norm(p - previous)
+            assert last > 1e-8 * np.linalg.norm(p)
+            assert stack.errors[i].residual == stack.residual[i] == pytest.approx(last, rel=1e-12)
+
     def test_two_inputs_are_rejected(self):
         # the solver is single-input: b must be a (k, n, 1) stack
         a = np.array([[0.5, 0.1], [0.0, 0.3]])
